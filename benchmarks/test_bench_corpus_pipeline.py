@@ -2,21 +2,14 @@
 
 The ``repro.intel`` subsystem turns a whole corpus of overlapping OSCTI
 reports into a minimal set of standing hunts.  This benchmark measures the
-two levers that make that corpus-scale:
-
-* **extraction throughput** (reports/s) for serial single-worker extraction
-  vs. the worker pool (with the shared memoized pipeline setup and
-  duplicate-text dedup) — on multi-core hosts the pool shows real parallel
-  speedup; every configuration's honest numbers are recorded either way;
-* **plan-cache dedup hit rate** — the fraction of hunted reports whose
-  canonical synthesized query collided with an already-planned one and
-  therefore shares a single ``PreparedQuery`` standing hunt instead of
-  registering its own.
+**plan-cache dedup hit rate** — the fraction of hunted reports whose
+canonical synthesized query collided with an already-planned one and
+therefore shares a single ``PreparedQuery`` standing hunt instead of
+registering its own — together with end-to-end registration throughput.
 
 Results are appended to ``BENCH_results.json`` via the shared recorder, so
 future PRs have a trajectory to compare against.  Size via
-``CORPUS_BENCH_REPORTS`` (default 48) and ``CORPUS_BENCH_WORKERS``
-(default 2).
+``CORPUS_BENCH_REPORTS`` (default 48).
 """
 
 from __future__ import annotations
@@ -26,79 +19,17 @@ import time
 
 from repro.core.pipeline import ThreatRaptor
 from repro.intel.corpus import ReportCorpus
-from repro.intel.extractor import CorpusExtractor
 
 REPORT_COUNT = int(os.environ.get("CORPUS_BENCH_REPORTS", "48"))
-WORKER_COUNT = max(2, int(os.environ.get("CORPUS_BENCH_WORKERS", "2")))
 
 _CORPUS = ReportCorpus.variants(REPORT_COUNT, seed=31)
-
-
-def _graph_shapes(extraction):
-    shapes = {}
-    for report_id, result in extraction.results():
-        shapes[report_id] = frozenset(
-            (edge.subject.ioc.normalized(), edge.verb, edge.obj.ioc.normalized())
-            for edge in result.graph.edges
-        )
-    return shapes
-
-
-def test_bench_corpus_extraction_serial_vs_parallel(bench_results):
-    """Extraction throughput: workers=1 (cold) vs worker pool (shared setup)."""
-    naive = CorpusExtractor(workers=1, dedup_texts=False)
-    started = time.perf_counter()
-    naive_extraction = naive.extract_corpus(_CORPUS)
-    naive_seconds = time.perf_counter() - started
-
-    serial = CorpusExtractor(workers=1)
-    started = time.perf_counter()
-    serial_extraction = serial.extract_corpus(_CORPUS)
-    serial_seconds = time.perf_counter() - started
-
-    pooled = CorpusExtractor(workers=WORKER_COUNT)
-    started = time.perf_counter()
-    pooled_extraction = pooled.extract_corpus(_CORPUS)
-    pooled_seconds = time.perf_counter() - started
-
-    # Correctness first: every configuration extracts identical behavior.
-    assert _graph_shapes(serial_extraction) == _graph_shapes(naive_extraction)
-    assert _graph_shapes(pooled_extraction) == _graph_shapes(naive_extraction)
-    assert not pooled_extraction.failures()
-
-    cpu_count = os.cpu_count() or 1
-    parallel_speedup = serial_seconds / pooled_seconds
-    entry = bench_results.record(
-        "corpus-extraction",
-        reports=REPORT_COUNT,
-        workers=WORKER_COUNT,
-        cpu_count=cpu_count,
-        seconds_workers1_nodedup=round(naive_seconds, 6),
-        seconds_workers1=round(serial_seconds, 6),
-        seconds_workersN=round(pooled_seconds, 6),
-        reports_per_second_workers1=round(REPORT_COUNT / serial_seconds, 2),
-        reports_per_second_workersN=round(REPORT_COUNT / pooled_seconds, 2),
-        duplicate_text_hits=serial_extraction.cache_hits,
-        dedup_speedup_vs_nodedup=round(naive_seconds / serial_seconds, 3),
-        parallel_speedup_vs_workers1=round(parallel_speedup, 3),
-    )
-    print(f"\n[EXP-CORPUS] extraction: {entry}")
-    if cpu_count > 1:
-        # The acceptance bar is only physically meetable with >1 core; on
-        # single-CPU hosts the pool is pure overhead and we record the honest
-        # numbers without gating on them.
-        assert parallel_speedup > 1.0, (
-            f"worker pool slower than serial on {cpu_count} cpus: {parallel_speedup:.3f}x"
-        )
-    else:
-        print("[EXP-CORPUS] single-CPU host: parallel speedup recorded, not gated")
 
 
 def test_bench_corpus_hunt_dedup(bench_results):
     """Plan-cache dedup: overlapping reports collapse onto few standing hunts."""
     raptor = ThreatRaptor()
     started = time.perf_counter()
-    result = raptor.hunt_corpus(_CORPUS, workers=1)
+    result = raptor.hunt_corpus(_CORPUS)
     seconds = time.perf_counter() - started
     summary = result.summary()
 

@@ -1,6 +1,6 @@
-"""EXP-SEGMENTS — durable segmented storage: scan cost, pruning, shard fanout.
+"""EXP-SEGMENTS — durable segmented storage: scan cost, pruning.
 
-Three measurements over the planted-chain synthetic trace (the same generator
+Two measurements over the planted-chain synthetic trace (the same generator
 as EXP-COLUMNAR so timings are comparable):
 
 * **Scan cost** — the same time-windowed join executed on the in-memory
@@ -10,10 +10,6 @@ as EXP-COLUMNAR so timings are comparable):
   query should not pay for the full trace.
 * **Prune selectivity** — the acceptance criterion (ISSUE 9): on a ≥200k-event
   suite a 10%-of-timeline window must prune **≥50%** of sealed segments.
-* **Per-shard standing-query fanout** — a 4-shard pipeline with host-spread
-  data executes prepared hunts on every shard and merges; throughput is
-  recorded and the shared plan cache must show one compile serving all
-  shards (hits ≥ shards − 1).
 
 Set ``SEGMENT_BENCH_EVENTS`` (e.g. ``20000``) for the CI smoke version — the
 selectivity floor is then relaxed to "pruning happened at all" (few segments
@@ -28,13 +24,10 @@ import time
 import pytest
 
 from benchmarks.test_bench_columnar_engine import build_columnar_trace
-from repro.core.config import ThreatRaptorConfig
-from repro.core.pipeline import ThreatRaptor
 from repro.storage.relational.database import RelationalDatabase
 from repro.storage.relational.expression import Between, Column, Comparison, Literal
 from repro.storage.relational.query import SelectQuery
 from repro.storage.segment import SegmentedRelationalDatabase
-from repro.tbql.prepared import ShardedPreparedQuery
 
 #: Full-scale event count (the acceptance criterion's ≥200k floor).
 FULL_SCALE_EVENTS = 200_000
@@ -43,20 +36,6 @@ FULL_SCALE = EVENTS >= FULL_SCALE_EVENTS
 
 #: Seal threshold chosen so the trace spans ~32 segments at any scale.
 SEGMENT_ROWS = max(1_024, EVENTS // 32)
-
-SHARDS = 4
-
-#: Standing hunts for the fanout measurement: the planted exfiltration chain
-#: plus two selective single-pattern hunts.
-FANOUT_QUERIES = (
-    'proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as e1 return distinct p, f',
-    'proc p["%curl%"] read file f["%upload%"] as e1 return distinct p, f',
-    (
-        'proc p["%/bin/tar%"] read file f1["%/etc/passwd%"] as e1 '
-        'proc p write file f2["%/tmp/upload%"] as e2 '
-        "with e1 before e2 return distinct p, f1, f2"
-    ),
-)
 
 
 @pytest.fixture(scope="module")
@@ -147,41 +126,3 @@ def test_segment_prune_selectivity(trace, tmp_path_factory, bench_results):
         )
     else:
         assert stats["pruned"] > 0  # smoke: pruning must at least engage
-
-
-def test_per_shard_standing_query_fanout(trace, bench_results):
-    """Prepared hunts fan out across 4 shards from one compiled plan."""
-    raptor = ThreatRaptor(ThreatRaptorConfig(shards=SHARDS))
-    raptor.load_trace(trace)
-    prepared = [raptor.prepare_query(text) for text in FANOUT_QUERIES]
-    assert all(isinstance(plan, ShardedPreparedQuery) for plan in prepared)
-
-    # Warm once (compiles each plan exactly once, on the first engine).
-    for plan in prepared:
-        plan.execute()
-
-    repeats = 5
-    started = time.perf_counter()
-    for _ in range(repeats):
-        for plan in prepared:
-            plan.execute()
-    elapsed = time.perf_counter() - started
-    executions = repeats * len(prepared)
-
-    # One compile serves every shard: after warmup each plan's cache shows at
-    # least shards − 1 hits (the acceptance criterion's floor).
-    for plan in prepared:
-        assert plan.cache_info()["hits"] >= SHARDS - 1
-
-    bench_results.record(
-        "segment_store/sharded_fanout",
-        events=EVENTS,
-        full_scale=FULL_SCALE,
-        shards=SHARDS,
-        hunts=len(prepared),
-        hunts_per_second=round(executions / max(elapsed, 1e-9), 2),
-        shard_executions_per_second=round(
-            executions * SHARDS / max(elapsed, 1e-9), 2
-        ),
-        plan_cache=raptor.plan_cache.info() if raptor.plan_cache else {},
-    )

@@ -146,12 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     watch.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition audit storage by host across this many shards (default: 1)",
-    )
-    watch.add_argument(
         "--backend",
         choices=("auto", "relational", "sql", "graph"),
         default="auto",
@@ -171,9 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     corpus.add_argument("log", help="path of the Sysdig-format audit log to stream")
     corpus.add_argument(
-        "--workers", type=int, default=1, help="extraction worker-pool size (default: 1)"
-    )
-    corpus.add_argument(
         "--batch-size", type=int, default=256, help="events per ingestion micro-batch (default: 256)"
     )
     corpus.add_argument(
@@ -189,12 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "store audit data durably in this directory as time-partitioned "
             "on-disk segments (storage='segments')"
         ),
-    )
-    corpus.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition audit storage by host across this many shards (default: 1)",
     )
 
     lint = subparsers.add_parser(
@@ -349,19 +334,17 @@ def _command_query(args: argparse.Namespace) -> int:
 
 
 def _storage_config(args: argparse.Namespace) -> ThreatRaptorConfig | None:
-    """Pipeline config for the ``--data-dir`` / ``--shards`` / ``--backend`` flags.
+    """Pipeline config for the ``--data-dir`` / ``--backend`` flags.
 
     Returns ``None`` (pipeline defaults) when no flag was given.
     """
     data_dir = getattr(args, "data_dir", None)
-    shards = getattr(args, "shards", 1)
     backend = getattr(args, "backend", "auto")
-    if data_dir is None and shards == 1 and backend == "auto":
+    if data_dir is None and backend == "auto":
         return None
     return ThreatRaptorConfig(
         storage="segments" if data_dir is not None else "memory",
         data_dir=data_dir,
-        shards=shards,
         execution_backend=backend,
     )
 
@@ -430,9 +413,7 @@ def _command_corpus(args: argparse.Namespace) -> int:
 
     corpus = _load_corpus(args.reports)
     raptor = ThreatRaptor(_storage_config(args))
-    result = raptor.hunt_corpus(
-        corpus, workers=args.workers, batch_size=args.batch_size
-    )
+    result = raptor.hunt_corpus(corpus, batch_size=args.batch_size)
     service = result.service
     service.add_sink(CallbackSink(lambda alert: print(f"ALERT {alert.describe()}")))
 

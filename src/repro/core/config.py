@@ -41,12 +41,8 @@ class ThreatRaptorConfig:
         storage: ``"memory"`` (in-memory relational store) or ``"segments"``
             (durable on-disk segmented store; see
             :mod:`repro.storage.segment`).
-        shards: Number of host-partitioned audit-store shards (1 = the
-            single-store layout; >1 builds a
-            :class:`~repro.storage.sharded.ShardedAuditStore`).
-        data_dir: Data directory for ``storage="segments"`` (each shard owns
-            a subdirectory when sharded).  ``None`` with segmented storage
-            uses a store-owned temporary directory.
+        data_dir: Data directory for ``storage="segments"``.  ``None`` with
+            segmented storage uses a store-owned temporary directory.
         segment_rows: Memtable seal threshold for the segmented store.
     """
 
@@ -62,7 +58,6 @@ class ThreatRaptorConfig:
     graph_matcher: str = "planner"
     analysis_mode: str = "enforce"
     storage: str = "memory"
-    shards: int = 1
     data_dir: str | None = None
     segment_rows: int = 4096
 
@@ -101,8 +96,6 @@ class ThreatRaptorConfig:
             raise ConfigurationError(
                 f"storage must be 'memory' or 'segments', got {self.storage!r}"
             )
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be at least 1, got {self.shards}")
         if self.data_dir is not None and self.storage != "segments":
             raise ConfigurationError(
                 "data_dir is only meaningful with storage='segments'"

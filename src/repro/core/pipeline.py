@@ -19,17 +19,11 @@ from repro.core.config import ThreatRaptorConfig
 from repro.nlp.behavior_graph import ThreatBehaviorGraph
 from repro.nlp.extractor import ExtractionResult, ThreatBehaviorExtractor
 from repro.storage.loader import AuditStore, LoadReport
-from repro.storage.sharded import ShardedAuditStore
 from repro.tbql.ast import Query
 from repro.tbql.executor import TBQLExecutionEngine
 from repro.tbql.formatter import format_query
-from repro.tbql.parser import parse_query
-from repro.tbql.prepared import (
-    PreparedExecution,
-    SharedPlanCache,
-    ShardedPreparedQuery,
-)
-from repro.tbql.result import TBQLResult, merge_results
+from repro.tbql.prepared import PreparedQuery
+from repro.tbql.result import TBQLResult
 from repro.tbql.synthesis import QuerySynthesizer, SynthesisPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -88,7 +82,7 @@ class ThreatRaptor:
             if self.config.execution_backend == "sql"
             else self.config.relational_executor
         )
-        store_kwargs = dict(
+        self.store = AuditStore(
             apply_reduction=self.config.apply_reduction,
             merge_window_ns=self.config.reduction_merge_window_ns,
             relational_executor=relational_executor,
@@ -96,11 +90,6 @@ class ThreatRaptor:
             data_dir=self.config.data_dir,
             segment_rows=self.config.segment_rows,
         )
-        self.store: AuditStore | ShardedAuditStore
-        if self.config.shards > 1:
-            self.store = ShardedAuditStore(shards=self.config.shards, **store_kwargs)
-        else:
-            self.store = AuditStore(**store_kwargs)
         self._extractor = ThreatBehaviorExtractor(
             resolve_nominal_coreference=self.config.resolve_nominal_coreference
         )
@@ -111,23 +100,11 @@ class ThreatRaptor:
                 wildcard_filters=self.config.synthesis_wildcard_filters,
             )
         )
-        engine_kwargs = dict(
+        self._engine = TBQLExecutionEngine(
+            self.store,
             backend=self.config.execution_backend,
             graph_matcher=self.config.graph_matcher,
             analysis_mode=self.config.analysis_mode,
-        )
-        if isinstance(self.store, ShardedAuditStore):
-            # One engine per shard; prepared plans compile once (on the first
-            # engine) and are shared across all of them via the plan cache.
-            self._engines = tuple(
-                TBQLExecutionEngine(child, **engine_kwargs)
-                for child in self.store.shard_stores
-            )
-        else:
-            self._engines = (TBQLExecutionEngine(self.store, **engine_kwargs),)
-        self._engine = self._engines[0]
-        self.plan_cache: SharedPlanCache | None = (
-            SharedPlanCache() if len(self._engines) > 1 else None
         )
         self._load_report: LoadReport | None = None
 
@@ -159,20 +136,8 @@ class ThreatRaptor:
         return self._synthesizer.synthesize(graph)
 
     def execute_query(self, query: Query | str) -> TBQLResult:
-        """Execute a TBQL query (AST or source text) over the stored audit data.
-
-        With a sharded store the query runs on every shard's engine and the
-        per-shard results are merged (rows concatenated, matched event ids
-        unioned, ``DISTINCT`` re-applied globally).
-        """
-        if len(self._engines) == 1:
-            return self._engine.execute(query, optimize=self.config.optimize_execution)
-        ast = parse_query(query) if isinstance(query, str) else query
-        results = [
-            engine.execute(ast, optimize=self.config.optimize_execution)
-            for engine in self._engines
-        ]
-        return merge_results(results, distinct=ast.distinct)
+        """Execute a TBQL query (AST or source text) over the stored audit data."""
+        return self._engine.execute(query, optimize=self.config.optimize_execution)
 
     def analyze_query(self, query: Query | str) -> "AnalysisReport":
         """Statically analyze a TBQL query against this pipeline's store.
@@ -186,35 +151,17 @@ class ThreatRaptor:
 
     def prepare_query(
         self, query: Query | str, window_hints: tuple[str, ...] = ()
-    ) -> PreparedExecution:
+    ) -> PreparedQuery:
         """Prepare a TBQL query for repeated execution (standing hunts).
 
         Parsing, semantic analysis, scheduling and per-pattern data-query
         compilation happen once; each ``execute`` call pays only for
         execution.  The streaming monitor prepares every registered hunt this
         way, passing the temporal sink as a window hint.
-
-        With a sharded store the compiled plan is looked up in (and shared
-        through) the pipeline-wide :class:`SharedPlanCache` under the query's
-        **canonical key**, so N shards — and semantically equivalent
-        re-registrations — reuse one compiled plan instead of preparing N
-        times.
         """
-        if self.plan_cache is None:
-            return self._engine.prepare(
-                query, optimize=self.config.optimize_execution, window_hints=window_hints
-            )
-        ast = parse_query(query) if isinstance(query, str) else query
-        key = SharedPlanCache.key(ast, window_hints, self.config.optimize_execution)
-        cached = self.plan_cache.get(key)
-        if cached is not None:
-            return cached
-        prepared = self._engine.prepare(
-            ast, optimize=self.config.optimize_execution, window_hints=window_hints
+        return self._engine.prepare(
+            query, optimize=self.config.optimize_execution, window_hints=window_hints
         )
-        sharded = ShardedPreparedQuery(prepared=prepared, engines=self._engines)
-        self.plan_cache.put(key, sharded)
-        return sharded
 
     # -- continuous hunting ------------------------------------------------------------
 
@@ -270,7 +217,6 @@ class ThreatRaptor:
     def hunt_corpus(
         self,
         reports: "ReportCorpus | object",
-        workers: int = 1,
         service: "HuntingService | None" = None,
         batch_size: int = 256,
         sinks: "tuple[AlertSink, ...]" = (),
@@ -278,10 +224,10 @@ class ThreatRaptor:
     ) -> "CorpusHuntResult":
         """Register the deduped standing hunts for a whole OSCTI report corpus.
 
-        Every report is extracted (in parallel when ``workers > 1``), its
-        behavior graph synthesized into a TBQL query, and semantically
-        equivalent queries from overlapping reports are canonicalized into
-        **one** standing hunt each on the returned result's
+        Every report is extracted, its behavior graph synthesized into a TBQL
+        query, and semantically equivalent queries from overlapping reports
+        are canonicalized into **one** standing hunt each on the returned
+        result's
         :class:`~repro.streaming.service.HuntingService`.  Alerts raised by
         those hunts carry the ids of every originating report.
 
@@ -290,7 +236,6 @@ class ThreatRaptor:
                 iterable of :class:`~repro.intel.corpus.CorpusReport` /
                 :class:`~repro.data.osctireports.AnnotatedReport` /
                 ``(id, text)`` items.
-            workers: Extraction worker-pool size.
             service: Register onto an existing hunting service (repeated
                 corpus passes dedup against its hunts); a fresh one bound to
                 this pipeline is built when omitted.
@@ -304,7 +249,7 @@ class ThreatRaptor:
 
         if service is None:
             service = HuntingService(raptor=self, batch_size=batch_size, sinks=sinks)
-        planner = CorpusHuntPlanner(self, workers=workers, name_prefix=name_prefix)
+        planner = CorpusHuntPlanner(self, name_prefix=name_prefix)
         return planner.register(ReportCorpus.coerce(reports), service)
 
     # -- end to end ----------------------------------------------------------------------

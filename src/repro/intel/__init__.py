@@ -9,9 +9,9 @@ streaming/standing-hunt back half:
 * :class:`~repro.intel.corpus.ReportCorpus` loads report corpora — the
   bundled annotated set, deterministic feed-variant expansions, directories
   of text files, JSONL feed dumps;
-* :class:`~repro.intel.extractor.CorpusExtractor` fans extraction out over a
-  ``concurrent.futures`` worker pool with a shared memoized pipeline setup
-  per process and byte-identical-text dedup;
+* :class:`~repro.intel.extractor.CorpusExtractor` runs extraction over the
+  whole corpus with one shared memoized pipeline setup, byte-identical-text
+  dedup and per-report failure isolation;
 * :class:`~repro.intel.hunt.CorpusHuntPlanner` canonicalizes every
   synthesized query (:mod:`repro.tbql.canonical`) so semantically equivalent
   queries from overlapping reports register as **one** standing hunt in the

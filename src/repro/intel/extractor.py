@@ -4,14 +4,9 @@
 :class:`~repro.nlp.extractor.ThreatBehaviorExtractor` over many OSCTI reports
 at once:
 
-* **Worker pool** — extraction is pure CPU work, so multi-report corpora are
-  fanned out over a ``concurrent.futures`` pool.  Process workers (forked, so
-  the GIL does not serialize parsing) are preferred where available; thread
-  workers are the fallback.  ``workers=1`` stays fully in-process.
 * **Shared memoized setup** — the extractor (tokenizer, POS lexicons,
-  dependency parser, coreference resolver) is built once per process per
-  configuration and reused for every report it handles, instead of being
-  rebuilt per report.
+  dependency parser, coreference resolver) is built once per configuration
+  and reused for every report, instead of being rebuilt per report.
 * **Duplicate-text dedup** — real feeds republish the same advisory; reports
   whose text is byte-identical are extracted once and share the result, with
   hits counted so the saving is observable.
@@ -22,9 +17,7 @@ instead of aborting the corpus.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -42,7 +35,7 @@ DEFAULT_FLAGS: ExtractorFlags = (False, True, True, True)
 
 @lru_cache(maxsize=None)
 def shared_extractor(flags: ExtractorFlags = DEFAULT_FLAGS) -> ThreatBehaviorExtractor:
-    """The memoized per-process extraction pipeline for one configuration."""
+    """The memoized extraction pipeline for one configuration."""
     resolve_nominal, protect, coref, simplify = flags
     return ThreatBehaviorExtractor(
         resolve_nominal_coreference=resolve_nominal,
@@ -52,40 +45,16 @@ def shared_extractor(flags: ExtractorFlags = DEFAULT_FLAGS) -> ThreatBehaviorExt
     )
 
 
-def _extract_text(
-    flags: ExtractorFlags, text: str, keep_trees: bool
-) -> tuple[float, ExtractionResult]:
-    """Worker entry point: extract one report text, timing the run.
+def _extract_text(flags: ExtractorFlags, text: str) -> tuple[float, ExtractionResult]:
+    """Extract one report text, timing the run.
 
-    Module-level (picklable) so process pools can dispatch it; the memoized
-    :func:`shared_extractor` keeps per-process setup to one build.  Dropping
-    the dependency trees (the default) keeps cross-process result transfer
-    small — the corpus pipeline only consumes graphs, relations and IOCs.
+    The dependency trees are dropped: they are large and the corpus pipeline
+    only consumes graphs, relations and IOCs.
     """
     started = time.perf_counter()
     result = shared_extractor(flags).extract(text)
-    if not keep_trees:
-        result.trees = []
+    result.trees = []
     return (time.perf_counter() - started, result)
-
-
-def _extract_chunk(
-    flags: ExtractorFlags, texts: list[str], keep_trees: bool
-) -> list[tuple[float, ExtractionResult | None, str | None]]:
-    """Worker entry point for a whole chunk of report texts.
-
-    One pool task per worker chunk (instead of one per report) amortizes the
-    submit/pickle round trip over many reports; failures stay isolated per
-    report inside the chunk.
-    """
-    outcomes: list[tuple[float, ExtractionResult | None, str | None]] = []
-    for text in texts:
-        try:
-            seconds, result = _extract_text(flags, text, keep_trees)
-            outcomes.append((seconds, result, None))
-        except Exception as exc:  # noqa: BLE001 - isolate per report
-            outcomes.append((0.0, None, f"{type(exc).__name__}: {exc}"))
-    return outcomes
 
 
 @dataclass
@@ -111,7 +80,6 @@ class CorpusExtraction:
 
     extractions: list[ReportExtraction] = field(default_factory=list)
     seconds: float = 0.0
-    workers: int = 1
     cache_hits: int = 0
 
     def by_id(self) -> dict[str, ReportExtraction]:
@@ -142,33 +110,17 @@ class CorpusExtractor:
     """Runs the extraction pipeline over a corpus of OSCTI reports.
 
     Args:
-        workers: Pool size; ``1`` extracts serially in-process.
-        executor: ``"process"``, ``"thread"``, or ``"auto"`` (process when a
-            fork start method is available, thread otherwise).  Ignored for
-            ``workers=1``.
         dedup_texts: Extract byte-identical report texts once and share the
             result (hits are counted in :attr:`CorpusExtraction.cache_hits`).
-        keep_trees: Keep per-sentence dependency trees on the results
-            (disabled by default; they are large and unused downstream).
         resolve_nominal_coreference: Forwarded to the extraction pipeline.
     """
 
     def __init__(
         self,
-        workers: int = 1,
-        executor: str = "auto",
         dedup_texts: bool = True,
-        keep_trees: bool = False,
         resolve_nominal_coreference: bool = False,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if executor not in ("auto", "process", "thread"):
-            raise ValueError(f"unknown executor {executor!r}")
-        self.workers = workers
-        self.executor = executor
         self.dedup_texts = dedup_texts
-        self.keep_trees = keep_trees
         self._flags: ExtractorFlags = (resolve_nominal_coreference, True, True, True)
 
     # -- public API ----------------------------------------------------------
@@ -182,8 +134,6 @@ class CorpusExtractor:
         started = time.perf_counter()
 
         # Group identical texts so each distinct text is extracted exactly once.
-        order: list[str] = []
-        text_of: dict[str, str] = {}
         members: dict[str, list[CorpusReport]] = {}
         for report in reports:
             key = (
@@ -191,19 +141,13 @@ class CorpusExtractor:
                 if self.dedup_texts
                 else report.report_id
             )
-            if key not in members:
-                order.append(key)
-                text_of[key] = report.text
-                members[key] = []
-            members[key].append(report)
-
-        outcomes = self._extract_unique(order, text_of)
+            members.setdefault(key, []).append(report)
 
         cache_hits = 0
         outcome_by_id: dict[str, ReportExtraction] = {}
-        for key in order:
-            seconds, result, error = outcomes[key]
-            for position, report in enumerate(members[key]):
+        for group in members.values():
+            seconds, result, error = self._extract_one(group[0].text)
+            for position, report in enumerate(group):
                 shared = position > 0
                 if shared:
                     cache_hits += 1
@@ -220,69 +164,19 @@ class CorpusExtractor:
         return CorpusExtraction(
             extractions=extractions,
             seconds=time.perf_counter() - started,
-            workers=self.workers,
             cache_hits=cache_hits,
         )
 
     # -- internals -----------------------------------------------------------
 
-    def _extract_unique(
-        self, order: list[str], text_of: dict[str, str]
-    ) -> dict[str, tuple[float, ExtractionResult | None, str | None]]:
-        if self.workers == 1 or len(order) <= 1:
-            return {key: self._extract_one(text_of[key]) for key in order}
-
-        # Round-robin the unique texts into one chunk per worker so chunk
-        # workloads stay balanced even when report sizes trend over the corpus.
-        chunk_count = min(self.workers, len(order))
-        chunks: list[list[str]] = [[] for _ in range(chunk_count)]
-        for position, key in enumerate(order):
-            chunks[position % chunk_count].append(key)
-
-        outcomes: dict[str, tuple[float, ExtractionResult | None, str | None]] = {}
-        with self._pool() as pool:
-            futures = {
-                pool.submit(
-                    _extract_chunk,
-                    self._flags,
-                    [text_of[key] for key in chunk],
-                    self.keep_trees,
-                ): chunk
-                for chunk in chunks
-            }
-            for future in concurrent.futures.as_completed(futures):
-                chunk = futures[future]
-                try:
-                    for key, outcome in zip(chunk, future.result()):
-                        outcomes[key] = outcome
-                except Exception as exc:  # noqa: BLE001 - a dead worker fails its chunk
-                    for key in chunk:
-                        outcomes[key] = (0.0, None, f"{type(exc).__name__}: {exc}")
-        return outcomes
-
     def _extract_one(
         self, text: str
     ) -> tuple[float, ExtractionResult | None, str | None]:
         try:
-            seconds, result = _extract_text(self._flags, text, self.keep_trees)
+            seconds, result = _extract_text(self._flags, text)
             return (seconds, result, None)
         except Exception as exc:  # noqa: BLE001 - isolate per report
             return (0.0, None, f"{type(exc).__name__}: {exc}")
-
-    def _pool(self) -> concurrent.futures.Executor:
-        use_processes = self.executor == "process" or (
-            self.executor == "auto"
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-        if use_processes:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context()
-            return concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context
-            )
-        return concurrent.futures.ThreadPoolExecutor(max_workers=self.workers)
 
 
 __all__ = [

@@ -109,7 +109,6 @@ class CorpusHuntResult:
             ),
             "dedup_ratio": round(1.0 - len(self.hunts) / hunted, 4) if hunted else 0.0,
             "extraction_seconds": round(self.extraction.seconds, 6),
-            "extraction_workers": self.extraction.workers,
             "extraction_cache_hits": self.extraction.cache_hits,
         }
 
@@ -117,18 +116,10 @@ class CorpusHuntResult:
 class CorpusHuntPlanner:
     """Plans and registers the deduped standing hunts for a report corpus."""
 
-    def __init__(
-        self,
-        raptor: "ThreatRaptor",
-        workers: int = 1,
-        executor: str = "auto",
-        name_prefix: str = "corpus",
-    ) -> None:
+    def __init__(self, raptor: "ThreatRaptor", name_prefix: str = "corpus") -> None:
         self._raptor = raptor
         self._name_prefix = name_prefix
         self._extractor = CorpusExtractor(
-            workers=workers,
-            executor=executor,
             resolve_nominal_coreference=raptor.config.resolve_nominal_coreference,
         )
 

@@ -2,9 +2,9 @@
 
 The repo executes TBQL hunts through several interchangeable machinery
 configurations: the vectorized columnar relational executor vs. the row-dict
-reference executor, the relational vs. the graph backend, ad-hoc execution
-vs. prepared standing-query plans, and one-shot batch loading vs. micro-batched
-streaming replay with watermark-windowed standing hunts.  Their agreement was
+reference executor, the relational vs. the graph backend, and one-shot batch
+loading with ad-hoc execution vs. micro-batched streaming replay with
+watermark-windowed prepared standing hunts.  Their agreement was
 previously only spot-checked by per-subsystem property tests.
 
 This module is the end-to-end differential oracle: it runs every generated
@@ -30,35 +30,30 @@ from repro.streaming.source import ReplaySource
 class EngineConfiguration:
     """One way of executing a TBQL hunt over an audit trace.
 
-    The four axes mirror the repo's execution machinery:
+    The axes mirror the repo's execution machinery:
 
     * ``relational_executor`` — vectorized columnar vs. row-dict reference;
     * ``backend`` — relational tables vs. graph path search vs. the sqlite3
       SQL backend (compiled queries rendered to parameterized SQL and run by
       an engine that shares no code with the Python executors);
-    * ``prepared`` — ad-hoc ``execute`` vs. cached ``PreparedQuery`` plans;
-    * ``streaming`` — one-shot batch load vs. micro-batched replay through
-      watermark-windowed standing hunts (always prepared);
+    * ``streaming`` — one-shot batch load with ad-hoc ``execute`` vs.
+      micro-batched replay through watermark-windowed standing hunts
+      (re-executed from one cached ``PreparedQuery``);
     * ``crash_resume`` — the streaming run is additionally killed at a batch
       boundary and resumed from checkpoint + alert journal
       (:mod:`repro.scenarios.faults`); recovery must not change the answers.
     * ``storage`` — in-memory relational store vs. the durable on-disk
       segmented store (:mod:`repro.storage.segment`), each run owning a
-      temporary data directory;
-    * ``shards`` — a single audit store vs. a host-partitioned
-      :class:`~repro.storage.sharded.ShardedAuditStore` whose per-shard
-      results merge through the shared plan cache.
+      temporary data directory.
     """
 
     name: str
     backend: str = "relational"
     relational_executor: str = "vectorized"
-    prepared: bool = False
     streaming: bool = False
     graph_matcher: str = "planner"
     crash_resume: bool = False
     storage: str = "memory"
-    shards: int = 1
     #: Deliberately small seal threshold so campaign-sized traces produce
     #: several sealed segments per run — exercising seal/prune/merge paths,
     #: not just the memtable.
@@ -71,55 +66,36 @@ class EngineConfiguration:
             relational_executor=self.relational_executor,
             graph_matcher=self.graph_matcher,
             storage=self.storage,
-            shards=self.shards,
             segment_rows=self.segment_rows,
         )
 
 
 #: The configuration matrix the differential tests run: every axis —
 #: including the graph matcher (cost-guided planner vs. DFS oracle) — is
-#: exercised in both directions (streaming hunts are prepared by design).
+#: exercised in both directions.
 ENGINE_CONFIGURATIONS: tuple[EngineConfiguration, ...] = (
     EngineConfiguration(name="relational-adhoc-batch"),
     EngineConfiguration(name="relational-reference-adhoc-batch", relational_executor="reference"),
-    EngineConfiguration(name="relational-prepared-batch", prepared=True),
     EngineConfiguration(name="graph-adhoc-batch", backend="graph"),
     EngineConfiguration(name="graph-reference-adhoc-batch", backend="graph", graph_matcher="reference"),
-    EngineConfiguration(name="graph-prepared-batch", backend="graph", prepared=True),
-    EngineConfiguration(name="relational-prepared-streaming", prepared=True, streaming=True),
-    EngineConfiguration(name="graph-prepared-streaming", backend="graph", prepared=True, streaming=True),
+    EngineConfiguration(name="relational-prepared-streaming", streaming=True),
+    EngineConfiguration(name="graph-prepared-streaming", backend="graph", streaming=True),
     EngineConfiguration(
-        name="relational-prepared-streaming-crashresume",
-        prepared=True,
-        streaming=True,
-        crash_resume=True,
+        name="relational-prepared-streaming-crashresume", streaming=True, crash_resume=True
     ),
     EngineConfiguration(name="segments-adhoc-batch", storage="segments"),
+    EngineConfiguration(name="segments-prepared-streaming", streaming=True, storage="segments"),
     EngineConfiguration(
-        name="segments-prepared-streaming",
-        prepared=True,
-        streaming=True,
-        storage="segments",
-    ),
-    EngineConfiguration(name="sharded4-prepared-batch", prepared=True, shards=4),
-    EngineConfiguration(name="sharded4-graph-prepared-batch", backend="graph", prepared=True, shards=4),
-    EngineConfiguration(
-        name="sharded4-segments-prepared-streaming-crashresume",
-        prepared=True,
+        name="segments-prepared-streaming-crashresume",
         streaming=True,
         crash_resume=True,
         storage="segments",
-        shards=4,
     ),
     EngineConfiguration(name="sql-adhoc-batch", backend="sql"),
-    EngineConfiguration(name="sql-prepared-batch", backend="sql", prepared=True),
-    EngineConfiguration(
-        name="sql-prepared-streaming", backend="sql", prepared=True, streaming=True
-    ),
+    EngineConfiguration(name="sql-prepared-streaming", backend="sql", streaming=True),
     EngineConfiguration(
         name="sql-prepared-streaming-crashresume",
         backend="sql",
-        prepared=True,
         streaming=True,
         crash_resume=True,
     ),
@@ -271,10 +247,7 @@ class DifferentialHarness:
         raptor.load_trace(campaign.trace)
         matched: dict[str, set[int]] = {}
         for hunt in campaign.hunts:
-            if configuration.prepared:
-                result = raptor.prepare_query(hunt.query_text).execute()
-            else:
-                result = raptor.execute_query(hunt.query_text)
+            result = raptor.execute_query(hunt.query_text)
             matched[hunt.name] = set(result.all_matched_event_ids())
         return matched
 

@@ -4,7 +4,6 @@ from repro.storage.graph import GraphDatabase
 from repro.storage.loader import AppendReport, AuditStore, LoadReport
 from repro.storage.relational import RelationalDatabase
 from repro.storage.segment import SegmentedRelationalDatabase
-from repro.storage.sharded import ShardedAuditStore, shard_for_host
 
 __all__ = [
     "AppendReport",
@@ -13,6 +12,4 @@ __all__ = [
     "LoadReport",
     "RelationalDatabase",
     "SegmentedRelationalDatabase",
-    "ShardedAuditStore",
-    "shard_for_host",
 ]

@@ -46,7 +46,7 @@ from repro.tbql.result import TBQLResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tbql.analysis.diagnostics import AnalysisReport
-    from repro.tbql.prepared import PreparedExecution
+    from repro.tbql.prepared import PreparedQuery
 
 #: Upper bound used for open-ended watermark windows.
 MAX_TIME_NS = 2**63 - 1
@@ -67,7 +67,7 @@ class StandingQuery:
     #: plans, derived once at registration).  ``None`` when the monitor was
     #: constructed without a ``prepare`` callable; such hunts re-derive the
     #: windowed query per batch.
-    prepared: "PreparedExecution | None" = None
+    prepared: "PreparedQuery | None" = None
     #: Static-analysis report from registration, when the monitor was built
     #: with an ``analyze`` callable.  A report carrying error diagnostics
     #: quarantines the hunt at registration time (instead of letting an
@@ -206,7 +206,7 @@ class QueryMonitor:
     def __init__(
         self,
         execute: Callable[[Query], TBQLResult],
-        prepare: "Callable[[Query], PreparedExecution] | None" = None,
+        prepare: "Callable[[Query], PreparedQuery] | None" = None,
         quarantine_after: int = 3,
         analyze: "Callable[[Query], AnalysisReport] | None" = None,
     ) -> None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.auditing.entities import EntityType
+from repro.storage.relational.expression import unescape_like
 from repro.tbql.ast import (
     AttributeRelation,
     EntityDeclaration,
@@ -67,10 +68,11 @@ def _sorted_filter(expression: FilterExpression | None) -> FilterExpression | No
     equivalent: over a *wildcard* string value execution compiles both to the
     same ``Like`` expression
     (:func:`repro.tbql.filters.comparison_to_expression`), and over a
-    *case-invariant* value (no letters — IPs, ids) ``Like``'s
-    case-insensitive exact match cannot differ from equality.  ``=`` is what
-    the parser produces for the shorthand form, so the canonical AST
-    round-trips through ``format_query`` → ``parse_query`` unchanged.  A
+    *case-invariant* value (no letters — IPs, ids) that spells itself (no
+    ``\\\\`` escape, which ``Like`` reads as one backslash and ``=`` as two)
+    ``Like``'s case-insensitive exact match cannot differ from equality.
+    ``=`` is what the parser produces for the shorthand form, so the canonical
+    AST round-trips through ``format_query`` → ``parse_query`` unchanged.  A
     ``like`` over a non-wildcard value *with* letters is left alone — there
     the operator does change semantics (``Like`` matches case-insensitively,
     ``=`` does not), so rewriting it would alter what the registered hunt
@@ -82,7 +84,9 @@ def _sorted_filter(expression: FilterExpression | None) -> FilterExpression | No
         comparison = expression.comparison
         value = comparison.value
         rewritable = _is_wildcard(value) or (
-            isinstance(value, str) and value.lower() == value.upper()
+            isinstance(value, str)
+            and value.lower() == value.upper()
+            and unescape_like(value) == value
         )
         if comparison.operator is FilterOperator.LIKE and rewritable:
             return replace(

@@ -14,7 +14,7 @@ the single-backend comparison in EXP-QUERY-LAT).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.auditing.entities import EntityType
 from repro.auditing.events import event_type_for_object
@@ -44,20 +44,11 @@ class CompiledPathPattern:
 class CypherCompiler:
     """Compiles TBQL patterns into graph path patterns plus Cypher text."""
 
-    def compile_path(
-        self,
-        pattern: PathPattern,
-        subject_id_constraint: Iterable[int] | None = None,
-        object_id_constraint: Iterable[int] | None = None,
-    ) -> CompiledPathPattern:
+    def compile_path(self, pattern: PathPattern) -> CompiledPathPattern:
         """Compile a variable-length path pattern."""
         graph_pattern = GraphPathPattern(
-            source=self._node_pattern(
-                pattern.subject.entity_type, pattern.subject.filter, subject_id_constraint
-            ),
-            target=self._node_pattern(
-                pattern.obj.entity_type, pattern.obj.filter, object_id_constraint
-            ),
+            source=self._node_pattern(pattern.subject.entity_type, pattern.subject.filter),
+            target=self._node_pattern(pattern.obj.entity_type, pattern.obj.filter),
             final_edge=self._edge_pattern(pattern.operation.operations, pattern.window),
             min_length=pattern.min_length,
             max_length=pattern.max_length,
@@ -68,20 +59,11 @@ class CypherCompiler:
             cypher_text=render_path_pattern(graph_pattern),
         )
 
-    def compile_event(
-        self,
-        pattern: EventPattern,
-        subject_id_constraint: Iterable[int] | None = None,
-        object_id_constraint: Iterable[int] | None = None,
-    ) -> CompiledPathPattern:
+    def compile_event(self, pattern: EventPattern) -> CompiledPathPattern:
         """Compile a single-hop event pattern for the graph backend."""
         graph_pattern = GraphPathPattern(
-            source=self._node_pattern(
-                pattern.subject.entity_type, pattern.subject.filter, subject_id_constraint
-            ),
-            target=self._node_pattern(
-                pattern.obj.entity_type, pattern.obj.filter, object_id_constraint
-            ),
+            source=self._node_pattern(pattern.subject.entity_type, pattern.subject.filter),
+            target=self._node_pattern(pattern.obj.entity_type, pattern.obj.filter),
             final_edge=self._edge_pattern(pattern.operation.operations, pattern.window),
             min_length=1,
             max_length=1,
@@ -94,16 +76,11 @@ class CypherCompiler:
 
     # -- pattern pieces --------------------------------------------------------------
 
-    def _node_pattern(
-        self,
-        entity_type: EntityType,
-        filter_expression,
-        id_constraint: Iterable[int] | None,
-    ) -> NodePattern:
-        """Entity-id constraints are declared on the pattern, not folded into
-        the predicate, so prepared plans can cache the compiled (filter-only)
-        pattern and attach per-execution ids, and the cost-guided planner can
-        read the constraint's cardinality."""
+    def _node_pattern(self, entity_type: EntityType, filter_expression) -> NodePattern:
+        """Only the attribute filter is compiled into the predicate; entity-id
+        constraints are attached per execution as ``NodePattern.allowed_ids``
+        (:meth:`repro.tbql.prepared.PreparedQuery.graph_query`), where the
+        cost-guided planner can read their cardinality."""
         predicate: Callable[[Node], bool] | None = None
         if filter_expression is not None:
             property_predicate = filter_to_predicate(filter_expression, entity_type)
@@ -112,11 +89,7 @@ class CypherCompiler:
                 return property_predicate(node.properties)
 
             predicate = node_matches
-        return NodePattern(
-            label=_LABELS[entity_type],
-            predicate=predicate,
-            allowed_ids=frozenset(id_constraint) if id_constraint is not None else None,
-        )
+        return NodePattern(label=_LABELS[entity_type], predicate=predicate)
 
     @staticmethod
     def _edge_pattern(operations: tuple[str, ...], window: TimeWindow | None) -> EdgePattern:

@@ -8,15 +8,14 @@ on ``e.srcid = s.id`` and ``e.dstid = o.id``, and pushes the entity attribute
 filters, the operation filter, the event-type filter and the optional time
 window down onto the respective aliases.
 
-Extra equality/membership constraints produced by the execution scheduler
-(binding the entity ids found by an earlier, more selective pattern) are
-passed through ``subject_id_constraint`` / ``object_id_constraint``.
+The entity-id constraints the execution scheduler propagates from earlier,
+more selective patterns are attached to the compiled query per execution by
+:meth:`repro.tbql.prepared.PreparedQuery.relational_query`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.auditing.entities import ENTITY_ATTRIBUTES, EntityType
 from repro.auditing.events import event_type_for_object
@@ -47,20 +46,8 @@ class CompiledEventPattern:
 class SQLCompiler:
     """Compiles TBQL event patterns into relational select-project-join queries."""
 
-    def compile(
-        self,
-        pattern: EventPattern,
-        subject_id_constraint: Iterable[int] | None = None,
-        object_id_constraint: Iterable[int] | None = None,
-    ) -> CompiledEventPattern:
-        """Compile ``pattern`` into a relational query.
-
-        Args:
-            pattern: The event pattern to compile.
-            subject_id_constraint: Optional set of entity ids the subject must
-                be one of (added by the scheduler from earlier results).
-            object_id_constraint: Same for the object entity.
-        """
+    def compile(self, pattern: EventPattern) -> CompiledEventPattern:
+        """Compile ``pattern`` into a relational query."""
         query = SelectQuery()
         query.add_table("events", EVENT_ALIAS)
         query.add_table("entities", SUBJECT_ALIAS)
@@ -71,19 +58,6 @@ class SQLCompiler:
         self._add_event_filters(query, pattern)
         self._add_entity_filters(query, SUBJECT_ALIAS, pattern.subject.entity_type, pattern)
         self._add_entity_filters(query, OBJECT_ALIAS, pattern.obj.entity_type, pattern, is_object=True)
-
-        # Entity-id constraints propagated by the scheduler from earlier,
-        # more selective patterns.  They are applied both on the entity alias
-        # and on the event table's foreign-key columns so the planner can use
-        # the events.srcid / events.dstid indexes directly.
-        if subject_id_constraint is not None:
-            ids = tuple(sorted(set(subject_id_constraint)))
-            query.add_filter(SUBJECT_ALIAS, InList(Column("id"), ids))
-            query.add_filter(EVENT_ALIAS, InList(Column("srcid"), ids))
-        if object_id_constraint is not None:
-            ids = tuple(sorted(set(object_id_constraint)))
-            query.add_filter(OBJECT_ALIAS, InList(Column("id"), ids))
-            query.add_filter(EVENT_ALIAS, InList(Column("dstid"), ids))
 
         self._add_projection(query, pattern)
         return CompiledEventPattern(pattern=pattern, query=query)

@@ -10,40 +10,39 @@ filters, and the per-pattern match sets are then joined on shared entity
 identifiers, filtered by the ``with`` clause's temporal and attribute
 relationships, and projected according to the ``return`` clause.
 
-Two hot-path mechanisms keep per-row overhead low:
+Every execution runs through a :class:`~repro.tbql.prepared.PreparedQuery`:
+it owns the semantic analysis, the schedule and the per-pattern data queries,
+and is the one place where time windows and entity-id constraints are
+attached to them.  :meth:`TBQLExecutionEngine.execute` builds one per call; a
+standing query is **prepared** once (:meth:`TBQLExecutionEngine.prepare`) and
+re-executed per micro-batch from its cached plans.
 
-* relational pattern matches become **zero-copy bindings**: each result row
-  stays one tuple, and the subject/object/event "dicts" of a binding are
-  :class:`~repro.storage.relational.query.RowFieldView` slices over it, so no
-  per-row dict splitting happens;
-* a standing query can be **prepared** once
-  (:meth:`TBQLExecutionEngine.prepare`) and re-executed per micro-batch from
-  cached per-pattern compiled plans — see :mod:`repro.tbql.prepared`.
+Relational pattern matches become **zero-copy bindings**: each result row
+stays one tuple, and the subject/object/event "dicts" of a binding are
+:class:`~repro.storage.relational.query.RowFieldView` slices over it, so no
+per-row dict splitting happens.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 from repro.errors import ExecutionError
 from repro.storage.graph.pattern import PathMatcher
+from repro.storage.graph.pattern import PathPattern as GraphPathPattern
 from repro.storage.graph.planner import CostGuidedPathMatcher
 from repro.storage.loader import AuditStore
 from repro.storage.relational.query import RowFieldView, SelectQuery
 from repro.tbql.analysis.analyzer import StaticAnalyzer
 from repro.tbql.analysis.diagnostics import AnalysisPolicy, AnalysisReport
 from repro.tbql.ast import EventPattern, Pattern, PathPattern, Query, FilterOperator, TimeWindow
-from repro.tbql.compiler.cypher_compiler import CypherCompiler
-from repro.tbql.compiler.sql_compiler import SQLCompiler
 from repro.tbql.parser import parse_query
+from repro.tbql.prepared import PreparedQuery
 from repro.tbql.result import TBQLResult
 from repro.tbql.scheduler import ExecutionScheduler, ScheduledPattern
 from repro.tbql.semantics import AnalyzedQuery, SemanticAnalyzer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.tbql.prepared import PreparedQuery
 
 #: A variable binding: entity identifier -> entity mapping, plus one event
 #: mapping per pattern stored under the key ``"@<event id>"``.  Relational
@@ -140,8 +139,6 @@ class TBQLExecutionEngine:
         self._store = store
         self._backend = backend
         self._graph_matcher = graph_matcher
-        self._sql = SQLCompiler()
-        self._cypher = CypherCompiler()
         self._scheduler = ExecutionScheduler()
         self._analyzer = SemanticAnalyzer()
         self.analysis_mode = analysis_mode
@@ -189,19 +186,14 @@ class TBQLExecutionEngine:
         """
         started = time.perf_counter()
         ast = parse_query(query) if isinstance(query, str) else query
-        analyzed = self._analyzer.analyze(ast)
-        self.admission_check(ast, analyzed)
-        schedule = (
-            self._scheduler.schedule(ast) if optimize else self._scheduler.schedule_unoptimized(ast)
-        )
-        return self._run(ast, analyzed, schedule, optimize, started)
+        return self._run(PreparedQuery(engine=self, query=ast, optimize=optimize), started)
 
     def prepare(
         self,
         query: Query | str,
         optimize: bool = True,
         window_hints: tuple[str, ...] = (),
-    ) -> "PreparedQuery":
+    ) -> PreparedQuery:
         """Parse/analyze/schedule ``query`` once for repeated execution.
 
         The returned :class:`~repro.tbql.prepared.PreparedQuery` caches the
@@ -210,8 +202,6 @@ class TBQLExecutionEngine:
         only for execution.  ``window_hints`` names patterns that will receive
         per-execution window overrides, so scheduling can account for them.
         """
-        from repro.tbql.prepared import PreparedQuery
-
         ast = parse_query(query) if isinstance(query, str) else query
         return PreparedQuery(
             engine=self, query=ast, optimize=optimize, window_hints=window_hints
@@ -219,7 +209,7 @@ class TBQLExecutionEngine:
 
     def execute_prepared(
         self,
-        prepared: "PreparedQuery",
+        prepared: PreparedQuery,
         window_overrides: dict[str, TimeWindow] | None = None,
     ) -> TBQLResult:
         """Execute a :class:`PreparedQuery`, optionally overriding pattern windows.
@@ -230,15 +220,7 @@ class TBQLExecutionEngine:
         watermark this way without re-deriving anything else.
         """
         started = time.perf_counter()
-        result = self._run(
-            prepared.query,
-            prepared.analyzed,
-            prepared.schedule,
-            prepared.optimize,
-            started,
-            plans=prepared,
-            window_overrides=window_overrides,
-        )
+        result = self._run(prepared, started, window_overrides)
         result.statistics["prepared"] = True
         result.statistics["plan_cache"] = prepared.cache_info()
         return result
@@ -247,27 +229,22 @@ class TBQLExecutionEngine:
 
     def _run(
         self,
-        ast: Query,
-        analyzed: AnalyzedQuery,
-        schedule: list[ScheduledPattern],
-        optimize: bool,
+        plans: PreparedQuery,
         started: float,
-        plans: "PreparedQuery | None" = None,
         window_overrides: dict[str, TimeWindow] | None = None,
     ) -> TBQLResult:
+        ast = plans.query
         statistics: dict[str, Any] = {
-            "schedule": [step.pattern.event_id for step in schedule],
+            "schedule": [step.pattern.event_id for step in plans.schedule],
             "pattern_matches": {},
             "pattern_seconds": {},
             "graph_plans": {},
-            "optimized": optimize,
+            "optimized": plans.optimize,
         }
-        bindings = self._execute_schedule(
-            schedule, analyzed, optimize, statistics, plans, window_overrides
-        )
+        bindings = self._execute_schedule(plans, statistics, window_overrides)
         bindings = self._apply_temporal_relations(ast, bindings)
         bindings = self._apply_attribute_relations(ast, bindings)
-        result = self._project(ast, analyzed, bindings)
+        result = self._project(ast, plans.analyzed, bindings)
         result.statistics = statistics
         result.statistics["total_seconds"] = time.perf_counter() - started
         result.statistics["result_rows"] = len(result.rows)
@@ -277,19 +254,16 @@ class TBQLExecutionEngine:
 
     def _execute_schedule(
         self,
-        schedule: list[ScheduledPattern],
-        analyzed: AnalyzedQuery,
-        optimize: bool,
+        plans: PreparedQuery,
         statistics: dict[str, Any],
-        plans: "PreparedQuery | None" = None,
         window_overrides: dict[str, TimeWindow] | None = None,
     ) -> list[Binding]:
         combined: list[Binding] | None = None
         bound_identifiers: set[str] = set()
         constraint_cache = _ConstraintCache()
-        for step in schedule:
+        for step in plans.schedule:
             constraints = {}
-            if optimize and combined is not None:
+            if plans.optimize and combined is not None:
                 constraints = self._collect_constraints(step, combined, constraint_cache)
             match_set = self._execute_pattern(
                 step.pattern, constraints, plans, window_overrides
@@ -339,34 +313,24 @@ class TBQLExecutionEngine:
         self,
         pattern: Pattern,
         constraints: dict[str, set[int]],
-        plans: "PreparedQuery | None" = None,
+        plans: PreparedQuery,
         window_overrides: dict[str, TimeWindow] | None = None,
     ) -> PatternMatchSet:
         started = time.perf_counter()
         subject_ids = constraints.get(pattern.subject.identifier)
         object_ids = constraints.get(pattern.obj.identifier)
-        effective = pattern
+        window = pattern.window
         if window_overrides is not None:
-            override = window_overrides.get(pattern.event_id)
-            if override is not None:
-                effective = replace(pattern, window=override)
+            window = window_overrides.get(pattern.event_id, window)
         graph_plan: dict[str, Any] | None = None
-        if isinstance(effective, PathPattern) or self._backend == "graph":
+        if isinstance(pattern, PathPattern) or self._backend == "graph":
             bindings, graph_plan = self._execute_on_graph(
-                effective, subject_ids, object_ids, plans
+                pattern, plans.graph_query(pattern, window, subject_ids, object_ids)
             )
         else:
-            if plans is not None:
-                compiled = plans.relational_query(
-                    pattern, effective.window, subject_ids, object_ids
-                )
-            else:
-                compiled = self._sql.compile(
-                    effective,
-                    subject_id_constraint=subject_ids,
-                    object_id_constraint=object_ids,
-                ).query
-            bindings = self._execute_on_relational(effective, compiled)
+            bindings = self._execute_on_relational(
+                pattern, plans.relational_query(pattern, window, subject_ids, object_ids)
+            )
         return PatternMatchSet(
             pattern=pattern,
             bindings=bindings,
@@ -405,31 +369,12 @@ class TBQLExecutionEngine:
         return bindings
 
     def _execute_on_graph(
-        self,
-        pattern: Pattern,
-        subject_ids: Iterable[int] | None,
-        object_ids: Iterable[int] | None,
-        plans: "PreparedQuery | None" = None,
+        self, pattern: Pattern, graph_pattern: GraphPathPattern
     ) -> tuple[list[Binding], dict[str, Any] | None]:
-        """Run one pattern on the graph backend.
+        """Run one pattern's compiled path search on the graph backend.
 
-        Prepared executions fetch the compiled path pattern from the shared
-        plan cache (window and entity-id constraints attached to the cached
-        template); ad-hoc executions compile it on the spot.  Returns the
-        bindings plus the planner's EXPLAIN summary.
+        Returns the bindings plus the planner's EXPLAIN summary.
         """
-        if plans is not None:
-            graph_pattern = plans.graph_query(
-                pattern, pattern.window, subject_ids, object_ids
-            )
-        elif isinstance(pattern, PathPattern):
-            graph_pattern = self._cypher.compile_path(
-                pattern, subject_id_constraint=subject_ids, object_id_constraint=object_ids
-            ).graph_pattern
-        else:
-            graph_pattern = self._cypher.compile_event(
-                pattern, subject_id_constraint=subject_ids, object_id_constraint=object_ids
-            ).graph_pattern
         if self._graph_matcher == "reference":
             matcher = PathMatcher(self._store.graph)
         else:

@@ -1,12 +1,14 @@
 """Prepared TBQL queries: parse/analyze/schedule/compile once, execute many.
 
-A standing query in the streaming monitor is re-executed against every
-micro-batch.  Without preparation each evaluation re-runs semantic analysis,
-pruning-score scheduling and per-pattern SQL compilation from scratch —
-per-batch overhead that dominates once the watermark window keeps the data
+Every execution runs through a :class:`PreparedQuery`: the engine's ad-hoc
+``execute`` builds one per call, while a standing query in the streaming
+monitor — re-executed against every micro-batch — is prepared once, because
+re-running semantic analysis, pruning-score scheduling and per-pattern
+compilation per batch dominates once the watermark window keeps the data
 volume per evaluation small.
 
-:class:`PreparedQuery` front-loads all of that:
+:class:`PreparedQuery` front-loads all of that, and is the only place where
+time windows and entity-id constraints are attached to a data query:
 
 * the AST is analyzed and scheduled **once** at prepare time;
 * each event pattern's relational data query is compiled **once** into a
@@ -35,15 +37,21 @@ the query AST each batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.storage.graph.pattern import PathPattern as GraphPathPattern
 from repro.storage.relational.expression import Between, Column, InList
 from repro.storage.relational.query import SelectQuery
 from repro.tbql.ast import EventPattern, Pattern, Query, TimeWindow
 from repro.tbql.ast import PathPattern as TBQLPathPattern
-from repro.tbql.compiler.sql_compiler import EVENT_ALIAS, OBJECT_ALIAS, SUBJECT_ALIAS
-from repro.tbql.result import TBQLResult, merge_results
+from repro.tbql.compiler.cypher_compiler import CypherCompiler
+from repro.tbql.compiler.sql_compiler import (
+    EVENT_ALIAS,
+    OBJECT_ALIAS,
+    SUBJECT_ALIAS,
+    SQLCompiler,
+)
+from repro.tbql.result import TBQLResult
 from repro.tbql.scheduler import ScheduledPattern
 from repro.tbql.semantics import AnalyzedQuery
 
@@ -53,25 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 #: Cache key: (event id, has window, has subject ids, has object ids).
 PlanKey = tuple[str, bool, bool, bool]
-
-
-@runtime_checkable
-class PreparedExecution(Protocol):
-    """What consumers of a prepared query (the standing-query monitor, the
-    pipeline) actually rely on: re-executable with per-execution window
-    overrides, plus plan-cache introspection.  Satisfied both by
-    :class:`PreparedQuery` (one engine) and :class:`ShardedPreparedQuery`
-    (one compiled plan fanned out across shard engines).
-    """
-
-    @property
-    def query(self) -> Query: ...
-
-    def execute(
-        self, window_overrides: dict[str, TimeWindow] | None = None
-    ) -> TBQLResult: ...
-
-    def cache_info(self) -> dict[str, int]: ...
 
 
 def pattern_constraint_shape(
@@ -95,10 +84,15 @@ def pattern_constraint_shape(
         object_ids is not None,
     )
 
+
 #: Placeholder window used only for *scheduling* hinted patterns (see
 #: ``window_hints``): its bounds never filter anything, it merely makes the
 #: pruning score count the window constraint the execution will carry.
 _SCHEDULING_WINDOW = TimeWindow(start=0, end=2**63 - 1)
+
+#: The pattern compilers are stateless; every prepared query shares them.
+_SQL = SQLCompiler()
+_CYPHER = CypherCompiler()
 
 
 def _clone_query(query: SelectQuery) -> SelectQuery:
@@ -241,7 +235,7 @@ class PreparedQuery:
                 windowless = (
                     replace(pattern, window=None) if pattern.window is not None else pattern
                 )
-                template = self.engine._sql.compile(windowless).query
+                template = _SQL.compile(windowless).query
                 self._templates[pattern.event_id] = template
             plan = _CachedPlan(key=key, template=template)
             self._plans[key] = plan
@@ -253,6 +247,9 @@ class PreparedQuery:
             compiled.add_filter(
                 EVENT_ALIAS, Between(Column("starttime"), window.start, window.end)
             )
+        # Entity-id constraints go on the entity alias and on the event table's
+        # foreign-key column, so the relational planner can use the
+        # events.srcid / events.dstid indexes directly.
         if subject_ids is not None:
             ids = tuple(sorted(set(subject_ids)))
             compiled.add_filter(SUBJECT_ALIAS, InList(Column("id"), ids))
@@ -287,11 +284,10 @@ class PreparedQuery:
                 windowless = (
                     replace(pattern, window=None) if pattern.window is not None else pattern
                 )
-                compiler = self.engine._cypher
                 if isinstance(windowless, TBQLPathPattern):
-                    template = compiler.compile_path(windowless).graph_pattern
+                    template = _CYPHER.compile_path(windowless).graph_pattern
                 else:
-                    template = compiler.compile_event(windowless).graph_pattern
+                    template = _CYPHER.compile_event(windowless).graph_pattern
                 self._graph_templates[pattern.event_id] = template
             plan = _CachedGraphPlan(key=key, template=template)
             self._graph_plans[key] = plan
@@ -325,99 +321,8 @@ class PreparedQuery:
         }
 
 
-@dataclass
-class ShardedPreparedQuery:
-    """One compiled plan executed against every shard's engine.
-
-    The wrapped :class:`PreparedQuery` was prepared on a single shard engine;
-    its templates are store-independent (they compile the *pattern*, not the
-    data), so each shard engine executes the same prepared object against its
-    own store.  The first execution compiles each pattern's template; the
-    remaining ``N - 1`` shard executions hit the shared plan cache, which is
-    what keeps per-hunt compilation work constant in the shard count.
-    """
-
-    prepared: PreparedQuery
-    engines: "tuple[TBQLExecutionEngine, ...]"
-
-    @property
-    def query(self) -> Query:
-        return self.prepared.query
-
-    @property
-    def analyzed(self) -> AnalyzedQuery:
-        return self.prepared.analyzed
-
-    @property
-    def analysis(self) -> "AnalysisReport | None":
-        return self.prepared.analysis
-
-    def execute(
-        self, window_overrides: dict[str, TimeWindow] | None = None
-    ) -> TBQLResult:
-        """Fan the prepared plan out across shards and merge the results."""
-        results = [
-            engine.execute_prepared(self.prepared, window_overrides=window_overrides)
-            for engine in self.engines
-        ]
-        return merge_results(results, distinct=self.prepared.query.distinct)
-
-    def cache_info(self) -> dict[str, int]:
-        return self.prepared.cache_info()
-
-
-#: Shared-plan-cache key: (canonical query key, window hints, optimize flag).
-SharedPlanKey = tuple[str, tuple[str, ...], bool]
-
-
-class SharedPlanCache:
-    """One plan cache shared by every shard of a :class:`ShardedAuditStore`.
-
-    Keyed by the **canonical query key** (:mod:`repro.tbql.canonical`), so
-    semantically equivalent hunts — re-registered, reformatted, or arriving
-    from different tenants — share one compiled plan instead of preparing per
-    shard or per registration.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[SharedPlanKey, ShardedPreparedQuery] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(
-        query: Query, window_hints: Iterable[str] = (), optimize: bool = True
-    ) -> SharedPlanKey:
-        # Imported lazily: repro.tbql.canonical itself imports this module's
-        # pattern_constraint_shape, so a top-level import would be circular.
-        from repro.tbql.canonical import canonical_query_key
-
-        return (canonical_query_key(query), tuple(window_hints), optimize)
-
-    def get(self, key: SharedPlanKey) -> ShardedPreparedQuery | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
-
-    def put(self, key: SharedPlanKey, prepared: ShardedPreparedQuery) -> None:
-        self._entries[key] = prepared
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def info(self) -> dict[str, int]:
-        return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
-
-
 __all__ = [
     "PlanKey",
-    "PreparedExecution",
     "PreparedQuery",
-    "SharedPlanCache",
-    "SharedPlanKey",
-    "ShardedPreparedQuery",
     "pattern_constraint_shape",
 ]

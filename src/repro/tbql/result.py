@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 
 @dataclass
@@ -57,10 +57,6 @@ class TBQLResult:
             matched |= ids
         return matched
 
-    def merged_with(self, other: "TBQLResult") -> "TBQLResult":
-        """This result combined with ``other`` (see :func:`merge_results`)."""
-        return merge_results((self, other))
-
     def to_table(self, limit: int | None = 20) -> str:
         """Plain-text table rendering for the CLI and examples."""
         if not self.rows:
@@ -78,52 +74,3 @@ class TBQLResult:
         if limit is not None and len(self.rows) > limit:
             lines.append(f"... ({len(self.rows) - limit} more rows)")
         return "\n".join(lines)
-
-
-def _merge_statistics(target: dict[str, Any], source: dict[str, Any]) -> None:
-    for key, value in source.items():
-        existing = target.get(key)
-        if isinstance(value, dict):
-            if not isinstance(existing, dict):
-                existing = {}
-                target[key] = existing
-            _merge_statistics(existing, value)
-        elif (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and isinstance(existing, (int, float))
-            and not isinstance(existing, bool)
-        ):
-            target[key] = existing + value
-        else:
-            target[key] = value
-
-
-def merge_results(results: Iterable[TBQLResult], distinct: bool = False) -> TBQLResult:
-    """Combine per-shard results of one query into a single result.
-
-    Rows and bindings are concatenated, matched event ids are unioned per
-    event identifier, and numeric statistics counters are summed (nested
-    dictionaries recursively; booleans and strings take the last shard's
-    value).  With ``distinct`` the merged rows are deduplicated in first-seen
-    order, re-establishing ``SELECT DISTINCT`` semantics that per-shard
-    execution can only enforce locally.
-    """
-    merged = TBQLResult()
-    rows: list[tuple[Any, ...]] = []
-    count = 0
-    for result in results:
-        count += 1
-        if not merged.columns and result.columns:
-            merged.columns = result.columns
-        rows.extend(result.rows)
-        for key, ids in result.matched_event_ids.items():
-            merged.matched_event_ids.setdefault(key, set()).update(ids)
-        merged.bindings.extend(result.bindings)
-        _merge_statistics(merged.statistics, result.statistics)
-    if distinct:
-        rows = list(dict.fromkeys(rows))
-    merged.rows = tuple(rows)
-    if count > 1:
-        merged.statistics["merged_shards"] = count
-    return merged

@@ -1,4 +1,4 @@
-"""Tests for corpus-scale extraction (worker pool, dedup cache, isolation)."""
+"""Tests for corpus-scale extraction (dedup cache, failure isolation)."""
 
 from __future__ import annotations
 
@@ -13,17 +13,6 @@ from repro.intel.extractor import (
 )
 
 
-def _edge_sets(extraction):
-    """Comparable behavior-graph shape per report id."""
-    shapes = {}
-    for report_id, result in extraction.results():
-        shapes[report_id] = {
-            (edge.subject.ioc.normalized(), edge.verb, edge.obj.ioc.normalized())
-            for edge in result.graph.edges
-        }
-    return shapes
-
-
 @pytest.fixture(scope="module")
 def small_corpus():
     corpus = ReportCorpus()
@@ -35,14 +24,14 @@ def small_corpus():
 
 
 class TestCorpusExtractor:
-    def test_serial_extracts_every_report(self, small_corpus):
-        extraction = CorpusExtractor(workers=1).extract_corpus(small_corpus)
+    def test_extracts_every_report(self, small_corpus):
+        extraction = CorpusExtractor().extract_corpus(small_corpus)
         assert len(extraction.extractions) == len(small_corpus)
         assert not extraction.failures()
         assert extraction.reports_per_second > 0
 
     def test_duplicate_texts_share_one_extraction(self, small_corpus):
-        extraction = CorpusExtractor(workers=1).extract_corpus(small_corpus)
+        extraction = CorpusExtractor().extract_corpus(small_corpus)
         assert extraction.cache_hits == 1
         by_id = extraction.by_id()
         duplicate = by_id["figure2-duplicate"]
@@ -50,46 +39,31 @@ class TestCorpusExtractor:
         assert duplicate.result is by_id["figure2-data-leakage"].result
 
     def test_dedup_can_be_disabled(self, small_corpus):
-        extraction = CorpusExtractor(workers=1, dedup_texts=False).extract_corpus(small_corpus)
+        extraction = CorpusExtractor(dedup_texts=False).extract_corpus(small_corpus)
         assert extraction.cache_hits == 0
         by_id = extraction.by_id()
         assert by_id["figure2-duplicate"].result is not by_id["figure2-data-leakage"].result
 
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_parallel_matches_serial(self, small_corpus, executor):
-        serial = CorpusExtractor(workers=1).extract_corpus(small_corpus)
-        parallel = CorpusExtractor(workers=2, executor=executor).extract_corpus(small_corpus)
-        assert _edge_sets(parallel) == _edge_sets(serial)
-        assert not parallel.failures()
-
-    def test_trees_dropped_by_default_kept_on_request(self):
+    def test_trees_dropped(self):
         corpus = ReportCorpus([FIGURE2_REPORT])
-        slim = CorpusExtractor(workers=1).extract_corpus(corpus)
+        slim = CorpusExtractor().extract_corpus(corpus)
         assert slim.by_id()["figure2-data-leakage"].result.trees == []
-        full = CorpusExtractor(workers=1, keep_trees=True).extract_corpus(corpus)
-        assert full.by_id()["figure2-data-leakage"].result.trees
 
     def test_failure_is_isolated_per_report(self, monkeypatch):
         import repro.intel.extractor as extractor_module
 
         original = extractor_module._extract_text
 
-        def explode_on_marker(flags, text, keep_trees):
+        def explode_on_marker(flags, text):
             if "EXPLODE" in text:
                 raise RuntimeError("boom")
-            return original(flags, text, keep_trees)
+            return original(flags, text)
 
         monkeypatch.setattr(extractor_module, "_extract_text", explode_on_marker)
         corpus = ReportCorpus([FIGURE2_REPORT, ("bad", "EXPLODE")])
-        extraction = CorpusExtractor(workers=1).extract_corpus(corpus)
+        extraction = CorpusExtractor().extract_corpus(corpus)
         assert extraction.failures() == {"bad": "RuntimeError: boom"}
         assert extraction.by_id()["figure2-data-leakage"].ok
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            CorpusExtractor(workers=0)
-        with pytest.raises(ValueError):
-            CorpusExtractor(executor="gpu")
 
     def test_shared_extractor_is_memoized(self):
         assert shared_extractor(DEFAULT_FLAGS) is shared_extractor(DEFAULT_FLAGS)

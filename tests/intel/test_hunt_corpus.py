@@ -66,13 +66,6 @@ class TestHuntCorpusDedup:
         assert summary["hunts"] == 5
         assert 0.0 < summary["dedup_ratio"] < 1.0
 
-    def test_parallel_registration_matches_serial(self, overlapping_corpus):
-        serial = ThreatRaptor().hunt_corpus(overlapping_corpus, workers=1)
-        parallel = ThreatRaptor().hunt_corpus(overlapping_corpus, workers=2)
-        serial_groups = {h.canonical_key: set(h.report_ids) for h in serial.hunts}
-        parallel_groups = {h.canonical_key: set(h.report_ids) for h in parallel.hunts}
-        assert serial_groups == parallel_groups
-
 
 class TestHuntCorpusIncremental:
     def test_second_pass_reuses_existing_hunts(self):

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import sqlite3
+from dataclasses import replace as dc_replace
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.auditing.entities import EntityType
+from repro.storage.relational.executor import QueryExecutor
 from repro.storage.relational.expression import (
     And,
     Between,
@@ -15,9 +20,19 @@ from repro.storage.relational.expression import (
     Literal,
     Not,
     Or,
+    equality_lookups,
+    escape_like,
+    like_has_wildcards,
+    unescape_like,
 )
 from repro.storage.relational.index import HashIndex, SortedIndex
+from repro.storage.relational.query import SelectQuery
 from repro.storage.relational.table import ColumnDefinition, Table, TableSchema
+from repro.storage.sql.render import render_expression
+from repro.tbql.ast import AttributeComparison, FilterExpression, FilterOperator
+from repro.tbql.canonical import canonicalize_query
+from repro.tbql.filters import filter_to_expression
+from repro.tbql.parser import parse_query
 
 _values = st.integers(min_value=-50, max_value=50)
 _names = st.sampled_from(["alpha", "beta", "gamma", "delta"])
@@ -41,11 +56,62 @@ class TestExpressionProperties:
         assert Not(expr_a).evaluate(row) == (not a)
 
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=20))
+    @example("\\")
+    @example("10.0.0.5\\")
+    @example("50%_\\x")
     def test_like_without_wildcards_is_equality(self, value):
-        if "%" in value or "_" in value:
-            return
-        row = {"name": value}
-        assert Like(Column("name"), value).evaluate(row)
+        r"""``escape_like(value)`` is a wildcard-free pattern meaning exactly ``value``.
+
+        ``\%``, ``\_`` and ``\\`` in a pattern denote one literal ``%``, ``_`` and
+        backslash, so the escaped spelling — not the raw value — is what
+        matches.  Every consumer of the convention must find the same row.
+        """
+        pattern = escape_like(value)
+        assert not like_has_wildcards(pattern)
+        assert unescape_like(pattern) == value
+        like = Like(Column("name"), pattern)
+        assert like.evaluate({"name": value})
+
+        # Index lookup: the planner turns the pattern into a hash-index probe.
+        table = Table(TestTableProperties._schema)
+        table.create_hash_index("name")
+        table.insert({"id": 0, "name": value, "size": 1})
+        table.insert({"id": 1, "name": value + "-decoy", "size": 1})
+        assert equality_lookups(like) == {"name": value}
+        query = SelectQuery()
+        query.add_table("t", "t")
+        query.add_filter("t", like)
+        query.add_output("t", "id")
+        executor = QueryExecutor({"t": table})
+        assert executor.plan(query).access_paths["t"].kind == "index-eq"
+        assert list(executor.execute(query).rows) == [(0,)]
+
+        # The parameterized sqlite rendering.
+        rendered = render_expression(like, alias=None, parameterized=True)
+        connection = sqlite3.connect(":memory:")
+        try:
+            connection.execute("CREATE TABLE t (id INTEGER, name TEXT)")
+            connection.executemany(
+                "INSERT INTO t VALUES (?, ?)", [(0, value), (1, value + "-decoy")]
+            )
+            found = connection.execute(
+                f"SELECT id FROM t WHERE {rendered.text}", rendered.parameters
+            ).fetchall()
+        finally:
+            connection.close()
+        assert found == [(0,)]
+
+        # The corpus canonicalizer's LIKE -> EQ rewrite keeps the meaning.
+        query_ast = parse_query('proc p read file f["x"] as e1 return f')
+        pattern_ast = query_ast.patterns[0]
+        comparison = AttributeComparison("name", FilterOperator.LIKE, pattern)
+        declared = dc_replace(pattern_ast.obj, filter=FilterExpression.leaf(comparison))
+        canonical = canonicalize_query(
+            dc_replace(query_ast, patterns=[dc_replace(pattern_ast, obj=declared)])
+        )
+        rewritten = filter_to_expression(canonical.patterns[0].obj.filter, EntityType.FILE)
+        assert rewritten.evaluate({"name": value})
+        assert not rewritten.evaluate({"name": value + "-decoy"})
 
     @given(
         st.text(alphabet="abc/.", max_size=10),

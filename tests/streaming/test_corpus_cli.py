@@ -39,11 +39,10 @@ class TestCorpusCommand:
         assert "ALERT [corpus-" in output
         assert "reports=" in output
 
-    def test_corpus_parallel_workers(self, report_directory, audit_log, capsys):
-        assert main(
-            ["corpus", str(report_directory), str(audit_log), "--workers", "2"]
-        ) == 0
-        assert "standing hunts" in capsys.readouterr().out
+    def test_removed_worker_pool_flag_is_rejected(self, report_directory, audit_log):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", str(report_directory), str(audit_log), "--workers", "2"])
+        assert excinfo.value.code == 2
 
     def test_corpus_bundled_literal(self, audit_log, capsys):
         assert main(["corpus", "bundled", str(audit_log)]) == 0

@@ -76,6 +76,12 @@ class TestWatch:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_removed_storage_partition_flag_is_rejected(self, report_file, audit_log):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["watch", str(report_file), str(audit_log), "--shards", "4"])
+        assert excinfo.value.code == 2
+
+
 class TestWatchCheckpoint:
     def test_first_run_creates_checkpoint_and_journal(
         self, report_file, audit_log, tmp_path, capsys

@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.auditing.entities import EntityType
+from repro.storage.loader import AuditStore
 from repro.storage.relational.sqlgen import render_select
 from repro.tbql.ast import FilterOperator
 from repro.tbql.compiler.cypher_compiler import CypherCompiler
 from repro.tbql.compiler.sql_compiler import SQLCompiler
+from repro.tbql.executor import TBQLExecutionEngine
 from repro.tbql.filters import (
     comparison_to_expression,
     constraint_count,
@@ -22,6 +24,10 @@ from repro.tbql.scheduler import ExecutionScheduler, pruning_score
 
 def _first_pattern(source: str):
     return parse_query(source).patterns[0]
+
+
+def _prepared(source: str):
+    return TBQLExecutionEngine(AuditStore()).prepare(source)
 
 
 class TestFilterBridging:
@@ -97,11 +103,13 @@ class TestSQLCompiler:
         assert "BETWEEN 100 AND 200" in sql
 
     def test_id_constraints_added(self):
-        pattern = _first_pattern("proc p read file f as e return p")
-        compiled = SQLCompiler().compile(pattern, subject_id_constraint=[5, 3], object_id_constraint=[7])
-        sql = render_select(compiled.query)
+        prepared = _prepared("proc p read file f as e return p")
+        query = prepared.relational_query(prepared.query.patterns[0], None, [5, 3, 5], [7])
+        sql = render_select(query)
         assert "s.id IN (3, 5)" in sql
+        assert "e.srcid IN (3, 5)" in sql
         assert "o.id IN (7)" in sql
+        assert "e.dstid IN (7)" in sql
 
     def test_projection_exposes_entity_and_event_columns(self):
         pattern = _first_pattern("proc p read file f as e return p")
@@ -139,12 +147,14 @@ class TestCypherCompiler:
     def test_id_constraint_restricts_nodes(self):
         from repro.storage.graph.model import Node
 
-        pattern = _first_pattern("proc p read file f as e return p")
-        compiled = CypherCompiler().compile_event(pattern, subject_id_constraint=[10])
+        prepared = _prepared("proc p read file f as e return p")
+        graph_pattern = prepared.graph_query(prepared.query.patterns[0], None, [10], None)
+        assert graph_pattern.source.allowed_ids == frozenset({10})
+        assert graph_pattern.target.allowed_ids is None
         allowed = Node(node_id=10, label="process", properties={"exename": "/bin/x"})
         denied = Node(node_id=11, label="process", properties={"exename": "/bin/x"})
-        assert compiled.graph_pattern.source.matches(allowed)
-        assert not compiled.graph_pattern.source.matches(denied)
+        assert graph_pattern.source.matches(allowed)
+        assert not graph_pattern.source.matches(denied)
 
     def test_window_constrains_edges(self):
         from repro.storage.graph.model import Edge

@@ -71,6 +71,37 @@ class TestPreparedExecution:
         assert result.statistics["result_rows"] == len(result.rows)
 
 
+class TestAdhocRunsThePreparedPath:
+    """``execute`` and ``prepare().execute()`` are one pattern-execution path."""
+
+    @pytest.fixture(scope="class")
+    def campaign_stores(self):
+        from repro.scenarios import generate_campaigns
+
+        stores = []
+        for campaign in generate_campaigns(8, base_seed=1200):
+            audit_store = AuditStore()
+            audit_store.load_trace(campaign.trace)
+            stores.append((campaign, audit_store))
+        return stores
+
+    @pytest.mark.parametrize("backend", ["auto", "graph"])
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_campaign_hunts_answer_identically(self, campaign_stores, backend, optimize):
+        for campaign, audit_store in campaign_stores:
+            engine = TBQLExecutionEngine(audit_store, backend=backend)
+            for hunt in campaign.hunts:
+                adhoc = engine.execute(hunt.query_text, optimize=optimize)
+                prepared = engine.prepare(hunt.query_text, optimize=optimize).execute()
+                assert adhoc.rows == prepared.rows
+                assert adhoc.all_matched_event_ids() == prepared.all_matched_event_ids()
+                assert adhoc.all_matched_event_ids() == hunt.expected_event_ids
+                assert adhoc.statistics["schedule"] == prepared.statistics["schedule"]
+                # CLI and explain output of ad-hoc runs must not change.
+                assert "prepared" not in adhoc.statistics
+                assert "plan_cache" not in adhoc.statistics
+
+
 class TestPlanCache:
     def test_templates_compiled_once_and_hit_afterwards(self, engine):
         prepared = engine.prepare(TWO_PATTERN_QUERY)

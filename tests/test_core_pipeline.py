@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import pytest
 
+from repro.auditing.entities import FileEntity, ProcessEntity
+from repro.auditing.events import EntityType, Operation, SystemEvent
 from repro.auditing.sysdig import write_trace
+from repro.auditing.trace import AuditTrace
 from repro.core.config import ThreatRaptorConfig
 from repro.core.pipeline import ThreatRaptor
 from repro.data import FIGURE2_REPORT
@@ -34,6 +38,32 @@ class TestConfig:
     def test_invalid_config_rejected_at_construction(self):
         with pytest.raises(ConfigurationError):
             ThreatRaptor(ThreatRaptorConfig(execution_backend="oracle"))
+
+    def test_storage_partitioning_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            ThreatRaptorConfig(shards=4)
+        assert len(dataclasses.fields(ThreatRaptorConfig)) == 14
+
+
+class TestCrossHostChain:
+    def test_write_on_one_host_read_on_another_is_one_row(self):
+        """A chain whose events carry different hosts joins on the shared file."""
+        writer = ProcessEntity(entity_id=1, host="alpha", exename="/bin/dropper", pid=7)
+        reader = ProcessEntity(entity_id=2, host="bravo", exename="/bin/loader", pid=9)
+        shared = FileEntity(entity_id=3, host="alpha", name="/mnt/share/payload")
+        events = [
+            SystemEvent(10, 1, 3, Operation.WRITE, EntityType.FILE, 100, 200, 64, host="alpha"),
+            SystemEvent(11, 2, 3, Operation.READ, EntityType.FILE, 300, 400, 64, host="bravo"),
+        ]
+        raptor = ThreatRaptor()
+        raptor.load_trace(AuditTrace(entities=[writer, reader, shared], events=events))
+        result = raptor.execute_query(
+            'proc p["%dropper%"] write file f as e1 '
+            'proc q["%loader%"] read file f as e2 '
+            "with e1 before e2 return p, q, f"
+        )
+        assert len(result) == 1
+        assert result.all_matched_event_ids() == {10, 11}
 
 
 class TestEndToEndHunt:
