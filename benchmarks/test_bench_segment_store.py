@@ -1,7 +1,6 @@
 """EXP-SEGMENTS — durable segmented storage: scan cost, pruning.
 
-Two measurements over the planted-chain synthetic trace (the same generator
-as EXP-COLUMNAR so timings are comparable):
+Two measurements over a planted-chain synthetic trace:
 
 * **Scan cost** — the same time-windowed join executed on the in-memory
   relational store and on the segmented store (sealed to ~32 on-disk
@@ -23,7 +22,9 @@ import time
 
 import pytest
 
-from benchmarks.test_bench_columnar_engine import build_columnar_trace
+from repro.auditing.entities import FileEntity, ProcessEntity
+from repro.auditing.events import EntityType, Operation, SystemEvent
+from repro.auditing.trace import AuditTrace
 from repro.storage.relational.database import RelationalDatabase
 from repro.storage.relational.expression import Between, Column, Comparison, Literal
 from repro.storage.relational.query import SelectQuery
@@ -36,6 +37,71 @@ FULL_SCALE = EVENTS >= FULL_SCALE_EVENTS
 
 #: Seal threshold chosen so the trace spans ~32 segments at any scale.
 SEGMENT_ROWS = max(1_024, EVENTS // 32)
+
+NUM_PROCESSES = 300
+NUM_FILES = 3000
+
+
+def build_columnar_trace(num_events: int) -> AuditTrace:
+    """A deterministic synthetic trace with planted tar→passwd→upload chains.
+
+    Uses a linear congruential generator instead of :mod:`random` so the trace
+    is stable across Python versions (the recorded timings stay comparable).
+    """
+    state = 17
+
+    def rand(bound: int) -> int:
+        nonlocal state
+        state = (state * 6364136223846793005 + 1442695040888963407) % (2**64)
+        return (state >> 33) % bound
+
+    processes = [
+        ProcessEntity(entity_id=i + 1, exename=f"/usr/bin/app{i % 50}", pid=1000 + i)
+        for i in range(NUM_PROCESSES)
+    ]
+    tar = ProcessEntity(entity_id=NUM_PROCESSES + 1, exename="/bin/tar", pid=7001)
+    curl = ProcessEntity(entity_id=NUM_PROCESSES + 2, exename="/usr/bin/curl", pid=7002)
+    processes += [tar, curl]
+
+    file_base = NUM_PROCESSES + 10
+    files = [
+        FileEntity(entity_id=file_base + i, name=f"/srv/data/file{i}.dat")
+        for i in range(NUM_FILES)
+    ]
+    passwd = FileEntity(entity_id=file_base + NUM_FILES, name="/etc/passwd")
+    upload = FileEntity(entity_id=file_base + NUM_FILES + 1, name="/tmp/upload.tar")
+    files += [passwd, upload]
+
+    operations = (Operation.READ, Operation.WRITE)
+    events: list[SystemEvent] = []
+    for i in range(num_events):
+        start = (i + 1) * 1_000
+        if i % 10_000 == 5_000:
+            # Planted attack chain: tar reads /etc/passwd ...
+            subject, obj, operation = tar, passwd, Operation.READ
+        elif i % 10_000 == 5_001:
+            # ... then writes the staging archive ...
+            subject, obj, operation = tar, upload, Operation.WRITE
+        elif i % 10_000 == 5_002:
+            # ... which curl picks up for exfiltration.
+            subject, obj, operation = curl, upload, Operation.READ
+        else:
+            subject = processes[rand(NUM_PROCESSES)]
+            obj = files[rand(NUM_FILES)]
+            operation = operations[rand(2)]
+        events.append(
+            SystemEvent(
+                event_id=i + 1,
+                subject_id=subject.entity_id,
+                object_id=obj.entity_id,
+                operation=operation,
+                object_type=EntityType.FILE,
+                start_time=start,
+                end_time=start + 500,
+                amount=rand(4096),
+            )
+        )
+    return AuditTrace(entities=processes + files, events=events)
 
 
 @pytest.fixture(scope="module")

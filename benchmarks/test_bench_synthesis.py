@@ -17,8 +17,7 @@ import pytest
 
 from repro.data import ALL_REPORTS
 from repro.nlp.extractor import ThreatBehaviorExtractor
-from repro.storage.relational.sqlgen import render_select
-from repro.storage.relational.sqlgen import count_query_lines as sql_lines
+from repro.storage.sql.render import render_select_query
 from repro.tbql.compiler.cypher_compiler import CypherCompiler
 from repro.tbql.compiler.sql_compiler import SQLCompiler
 from repro.tbql.formatter import count_query_lines as tbql_lines
@@ -62,7 +61,11 @@ def test_conciseness_tbql_vs_backend_queries(extraction_graphs):
         query = QuerySynthesizer().synthesize(extraction_graphs[report.name])
         tbql_text = format_query(query)
         sql_total = sum(
-            sql_lines(render_select(sql_compiler.compile(pattern).query))
+            len(
+                render_select_query(
+                    sql_compiler.compile(pattern).query, parameterized=False, pretty=True
+                ).text.splitlines()
+            )
             for pattern in query.event_patterns()
         )
         rows.append((report.name, tbql_lines(tbql_text), sql_total))

@@ -18,6 +18,10 @@ know about:
 * **No mutable default arguments** (repo-wide) — a ``def f(x=[])`` style
   default is shared across calls and has produced real state-bleed bugs in
   exactly the kind of long-lived service this repo builds.
+* **No test oracle in the product** (repo-wide) — nothing under
+  ``src/repro/`` imports ``sqlite3`` or anything from ``tests``: the sqlite
+  store, the row-dict executor and the DFS matcher are reference
+  implementations that live with the tests and must not drift back.
 
 Exit status: 0 when clean, 1 with one ``file:line: message`` per violation
 otherwise.  Run as ``python scripts/check_invariants.py`` from the repo root.
@@ -50,6 +54,9 @@ _WALL_CLOCK_CALLS = {
 #: thread a seeded ``random.Random`` instance instead.
 _GLOBAL_RANDOM_MODULE = "random"
 _ALLOWED_RANDOM_ATTRS = {"Random", "SystemRandom"}
+
+#: Top-level modules only the test oracles may import.
+_ORACLE_ONLY_MODULES = {"sqlite3", "tests"}
 
 _MUTABLE_DEFAULT_NODES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 
@@ -165,6 +172,29 @@ def check_mutable_defaults(path: Path, tree: ast.Module) -> list[Violation]:
     return violations
 
 
+def check_no_oracle_imports(path: Path, tree: ast.Module) -> list[Violation]:
+    """No ``sqlite3`` and no ``tests`` import anywhere in the product."""
+    violations: list[Violation] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] in _ORACLE_ONLY_MODULES:
+                violations.append(
+                    Violation(
+                        path,
+                        node.lineno,
+                        f"import of {module!r}: test oracles stay under tests/, "
+                        "out of the product",
+                    )
+                )
+    return violations
+
+
 def run() -> int:
     violations: list[Violation] = []
     for path in sorted(SRC_ROOT.rglob("*.py")):
@@ -174,6 +204,7 @@ def run() -> int:
             violations.extend(check_determinism(path, tree))
         violations.extend(check_fsync_before_replace(path, tree))
         violations.extend(check_mutable_defaults(path, tree))
+        violations.extend(check_no_oracle_imports(path, tree))
     for violation in violations:
         print(violation.render())
     if violations:

@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hunt.add_argument("log", help="path of the Sysdig-format audit log to search")
     hunt.add_argument(
         "--backend",
-        choices=("auto", "relational", "sql", "graph"),
+        choices=("auto", "relational", "graph"),
         default="auto",
         help="query execution backend (default: auto)",
     )
@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--backend",
-        choices=("auto", "relational", "sql", "graph"),
+        choices=("auto", "relational", "graph"),
         default="auto",
         help="query execution backend for the standing hunt (default: auto)",
     )
@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--backend",
-        choices=("auto", "relational", "sql", "graph"),
+        choices=("auto", "relational", "graph"),
         default="auto",
         help="execution backend the queries are checked against (default: auto)",
     )

@@ -23,17 +23,11 @@ class ThreatRaptorConfig:
             instead of single event patterns.
         synthesis_path_max_length: Maximum path length for synthesized path
             patterns.
-        execution_backend: ``"auto"``, ``"relational"``, ``"sql"`` (run
-            compiled data queries on the sqlite3-backed
-            :class:`~repro.storage.sql.database.SqliteRelationalDatabase`) or
+        execution_backend: ``"auto"`` (event patterns on the relational
+            store, path patterns on the graph store), ``"relational"`` or
             ``"graph"``.
         optimize_execution: Use pruning-score scheduling with constraint
             propagation.
-        relational_executor: ``"vectorized"`` (the columnar engine) or
-            ``"reference"`` (the row-dict oracle executor) — the differential
-            harness runs both and compares answers.
-        graph_matcher: ``"planner"`` (cost-guided path search) or
-            ``"reference"`` (the always-forward DFS oracle).
         analysis_mode: Static-analysis admission gate — ``"enforce"`` (error
             diagnostics reject a query before it runs or registers, the
             default), ``"warn"`` (analyze and report, never reject) or
@@ -54,8 +48,6 @@ class ThreatRaptorConfig:
     synthesis_path_max_length: int = 4
     execution_backend: str = "auto"
     optimize_execution: bool = True
-    relational_executor: str = "vectorized"
-    graph_matcher: str = "planner"
     analysis_mode: str = "enforce"
     storage: str = "memory"
     data_dir: str | None = None
@@ -67,25 +59,10 @@ class ThreatRaptorConfig:
         Raises:
             ConfigurationError: when a setting is out of range.
         """
-        if self.execution_backend not in ("auto", "relational", "sql", "graph"):
+        if self.execution_backend not in ("auto", "relational", "graph"):
             raise ConfigurationError(
-                f"execution_backend must be 'auto', 'relational', 'sql' or "
-                f"'graph', got {self.execution_backend!r}"
-            )
-        if self.execution_backend == "sql" and self.storage == "segments":
-            raise ConfigurationError(
-                "execution_backend='sql' keeps rows inside sqlite and cannot "
-                "be combined with storage='segments'"
-            )
-        if self.relational_executor not in ("vectorized", "reference"):
-            raise ConfigurationError(
-                f"relational_executor must be 'vectorized' or 'reference', "
-                f"got {self.relational_executor!r}"
-            )
-        if self.graph_matcher not in ("planner", "reference"):
-            raise ConfigurationError(
-                f"graph_matcher must be 'planner' or 'reference', "
-                f"got {self.graph_matcher!r}"
+                f"execution_backend must be 'auto', 'relational' or 'graph', "
+                f"got {self.execution_backend!r}"
             )
         if self.analysis_mode not in ("enforce", "warn", "off"):
             raise ConfigurationError(

@@ -75,17 +75,9 @@ class ThreatRaptor:
 
     def __init__(self, config: ThreatRaptorConfig | None = None) -> None:
         self.config = (config or ThreatRaptorConfig()).validate()
-        # backend="sql" swaps the store's relational engine for the
-        # sqlite3-backed one; the configured executor is irrelevant there.
-        relational_executor = (
-            "sql"
-            if self.config.execution_backend == "sql"
-            else self.config.relational_executor
-        )
         self.store = AuditStore(
             apply_reduction=self.config.apply_reduction,
             merge_window_ns=self.config.reduction_merge_window_ns,
-            relational_executor=relational_executor,
             storage=self.config.storage,
             data_dir=self.config.data_dir,
             segment_rows=self.config.segment_rows,
@@ -103,7 +95,6 @@ class ThreatRaptor:
         self._engine = TBQLExecutionEngine(
             self.store,
             backend=self.config.execution_backend,
-            graph_matcher=self.config.graph_matcher,
             analysis_mode=self.config.analysis_mode,
         )
         self._load_report: LoadReport | None = None

@@ -3,8 +3,8 @@
 ``repro.scenarios`` generates many seeded, labeled, multi-host attack
 campaigns (:mod:`repro.scenarios.campaign`) from parameterized kill-chain
 stages (:mod:`repro.scenarios.stages`), and verifies that every engine
-configuration — vectorized/reference relational, relational/graph backend,
-ad-hoc/prepared plans, batch/streaming replay, and crash-resumed streaming —
+configuration — relational/graph backend, memory/segmented storage, ad-hoc
+batch execution vs prepared streaming replay, and crash-resumed streaming —
 returns identical hunting answers on all of them
 (:mod:`repro.scenarios.differential`), with deterministic fault injection and
 crash-recovery equivalence checking in :mod:`repro.scenarios.faults`.

@@ -1,11 +1,11 @@
 """Cross-engine differential verification harness.
 
 The repo executes TBQL hunts through several interchangeable machinery
-configurations: the vectorized columnar relational executor vs. the row-dict
-reference executor, the relational vs. the graph backend, and one-shot batch
-loading with ad-hoc execution vs. micro-batched streaming replay with
-watermark-windowed prepared standing hunts.  Their agreement was
-previously only spot-checked by per-subsystem property tests.
+configurations: the relational vs. the graph backend, in-memory vs. durable
+segmented storage, and one-shot batch loading with ad-hoc execution vs.
+micro-batched streaming replay with watermark-windowed prepared standing
+hunts.  (The per-data-query oracles — row-dict executor, DFS matcher, sqlite
+— live under ``tests/oracles/`` and are compared query by query there.)
 
 This module is the end-to-end differential oracle: it runs every generated
 campaign's expected TBQL hunts (:mod:`repro.scenarios.campaign`) through every
@@ -32,10 +32,7 @@ class EngineConfiguration:
 
     The axes mirror the repo's execution machinery:
 
-    * ``relational_executor`` — vectorized columnar vs. row-dict reference;
-    * ``backend`` — relational tables vs. graph path search vs. the sqlite3
-      SQL backend (compiled queries rendered to parameterized SQL and run by
-      an engine that shares no code with the Python executors);
+    * ``backend`` — relational tables vs. graph path search;
     * ``streaming`` — one-shot batch load with ad-hoc ``execute`` vs.
       micro-batched replay through watermark-windowed standing hunts
       (re-executed from one cached ``PreparedQuery``);
@@ -49,9 +46,7 @@ class EngineConfiguration:
 
     name: str
     backend: str = "relational"
-    relational_executor: str = "vectorized"
     streaming: bool = False
-    graph_matcher: str = "planner"
     crash_resume: bool = False
     storage: str = "memory"
     #: Deliberately small seal threshold so campaign-sized traces produce
@@ -63,21 +58,16 @@ class EngineConfiguration:
         """The :class:`ThreatRaptorConfig` this configuration stands for."""
         return ThreatRaptorConfig(
             execution_backend=self.backend,
-            relational_executor=self.relational_executor,
-            graph_matcher=self.graph_matcher,
             storage=self.storage,
             segment_rows=self.segment_rows,
         )
 
 
-#: The configuration matrix the differential tests run: every axis —
-#: including the graph matcher (cost-guided planner vs. DFS oracle) — is
-#: exercised in both directions.
+#: The configuration matrix the differential tests run: every axis (backend,
+#: replay mode, storage) is exercised in both directions.
 ENGINE_CONFIGURATIONS: tuple[EngineConfiguration, ...] = (
     EngineConfiguration(name="relational-adhoc-batch"),
-    EngineConfiguration(name="relational-reference-adhoc-batch", relational_executor="reference"),
     EngineConfiguration(name="graph-adhoc-batch", backend="graph"),
-    EngineConfiguration(name="graph-reference-adhoc-batch", backend="graph", graph_matcher="reference"),
     EngineConfiguration(name="relational-prepared-streaming", streaming=True),
     EngineConfiguration(name="graph-prepared-streaming", backend="graph", streaming=True),
     EngineConfiguration(
@@ -90,14 +80,6 @@ ENGINE_CONFIGURATIONS: tuple[EngineConfiguration, ...] = (
         streaming=True,
         crash_resume=True,
         storage="segments",
-    ),
-    EngineConfiguration(name="sql-adhoc-batch", backend="sql"),
-    EngineConfiguration(name="sql-prepared-streaming", backend="sql", streaming=True),
-    EngineConfiguration(
-        name="sql-prepared-streaming-crashresume",
-        backend="sql",
-        streaming=True,
-        crash_resume=True,
     ),
 )
 

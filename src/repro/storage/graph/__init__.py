@@ -3,12 +3,7 @@
 from repro.storage.graph.cypher import render_path_pattern
 from repro.storage.graph.graphdb import DEFAULT_PROPERTY_INDEXES, GraphDatabase
 from repro.storage.graph.model import Edge, Node, Path
-from repro.storage.graph.pattern import (
-    EdgePattern,
-    NodePattern,
-    PathMatcher,
-    PathPattern,
-)
+from repro.storage.graph.pattern import EdgePattern, NodePattern, PathPattern
 from repro.storage.graph.planner import CostGuidedPathMatcher, SearchPlan
 from repro.storage.graph.provenance import (
     ProvenanceResult,
@@ -25,7 +20,6 @@ __all__ = [
     "Node",
     "NodePattern",
     "Path",
-    "PathMatcher",
     "PathPattern",
     "ProvenanceResult",
     "ProvenanceTracker",

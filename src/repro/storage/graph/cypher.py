@@ -6,7 +6,7 @@ renders :class:`~repro.storage.graph.pattern.PathPattern` objects as Cypher
 ``MATCH`` statements.  As with the SQL renderer, the text is used for the
 CLI's ``--show-cypher`` output and for the query-conciseness experiment
 (EXP-SYNTH); execution itself goes through
-:class:`~repro.storage.graph.pattern.PathMatcher`.
+:class:`~repro.storage.graph.planner.CostGuidedPathMatcher`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Cost-guided path search over the property graph.
 
-The reference :class:`~repro.storage.graph.pattern.PathMatcher` always runs a
-forward DFS from every source-matching node — correct, but oblivious to how
-selective each end of the pattern actually is.  This module adds the planner
+The oracle (the DFS ``PathMatcher`` under ``tests/oracles/``, the engine's
+original strategy) always runs a forward DFS from every source-matching node
+— correct, but oblivious to how selective each end of the pattern actually
+is.  This module adds the planner
 the paper implies Neo4j provides ("indexes are created on key attributes to
 speed up the search"): before searching, :class:`CostGuidedPathMatcher`
 estimates the cardinality of both endpoints from the graph's label, property
@@ -86,10 +87,10 @@ class SearchPlan:
 
 
 class CostGuidedPathMatcher:
-    """Drop-in replacement for :class:`PathMatcher` with cost-guided planning.
+    """Enumerates paths matching a :class:`PathPattern` with cost-guided planning.
 
-    Same ``match(pattern)`` contract as the reference matcher; additionally
-    exposes :meth:`plan` and :attr:`last_plan` for EXPLAIN output.
+    Same ``match(pattern)`` contract and path set as the DFS oracle;
+    additionally exposes :meth:`plan` and :attr:`last_plan` for EXPLAIN output.
     """
 
     def __init__(self, graph: GraphDatabase) -> None:

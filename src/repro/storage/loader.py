@@ -34,7 +34,6 @@ from repro.auditing.trace import AuditTrace
 from repro.errors import StorageError
 from repro.storage.graph.graphdb import GraphDatabase
 from repro.storage.relational.database import RelationalDatabase
-from repro.storage.sql.database import SqliteRelationalDatabase
 from repro.storage.segment.database import DEFAULT_SEGMENT_ROWS, SegmentedRelationalDatabase
 
 
@@ -76,12 +75,6 @@ class AuditStore:
         apply_reduction: Run Causality Preserved Reduction before loading.
         merge_window_ns: CPR merge window (see
             :class:`~repro.auditing.reduction.CausalityPreservedReducer`).
-        relational_executor: ``"vectorized"`` (columnar engine),
-            ``"reference"`` (row-dict oracle) — see
-            :class:`~repro.storage.relational.database.RelationalDatabase` —
-            or ``"sql"`` (the sqlite3-backed
-            :class:`~repro.storage.sql.database.SqliteRelationalDatabase`;
-            memory storage only).
         storage: ``"memory"`` (the in-memory relational store, the default) or
             ``"segments"`` (the durable
             :class:`~repro.storage.segment.database.SegmentedRelationalDatabase`).
@@ -97,7 +90,6 @@ class AuditStore:
         self,
         apply_reduction: bool = True,
         merge_window_ns: int | None = 10_000_000_000,
-        relational_executor: str = "vectorized",
         storage: str = "memory",
         data_dir: str | Path | None = None,
         segment_rows: int = DEFAULT_SEGMENT_ROWS,
@@ -106,28 +98,18 @@ class AuditStore:
             raise StorageError(f"unknown storage backend {storage!r}")
         self.storage = storage
         self._owned_data_dir: tempfile.TemporaryDirectory[str] | None = None
-        self.relational: (
-            RelationalDatabase | SegmentedRelationalDatabase | SqliteRelationalDatabase
-        )
+        self.relational: RelationalDatabase | SegmentedRelationalDatabase
         if storage == "segments":
-            if relational_executor == "sql":
-                raise StorageError(
-                    "relational_executor='sql' keeps rows inside sqlite and "
-                    "cannot be combined with storage='segments'"
-                )
             if data_dir is None:
                 self._owned_data_dir = tempfile.TemporaryDirectory(prefix="segments-")
                 data_dir = self._owned_data_dir.name
             self.data_dir: Path | None = Path(data_dir)
             self.relational = SegmentedRelationalDatabase(
-                self.data_dir, executor=relational_executor, segment_rows=segment_rows
+                self.data_dir, segment_rows=segment_rows
             )
-        elif relational_executor == "sql":
-            self.data_dir = None
-            self.relational = SqliteRelationalDatabase()
         else:
             self.data_dir = None
-            self.relational = RelationalDatabase(executor=relational_executor)
+            self.relational = RelationalDatabase()
         self.graph = GraphDatabase()
         self._apply_reduction = apply_reduction
         self._reducer = CausalityPreservedReducer(merge_window_ns=merge_window_ns)

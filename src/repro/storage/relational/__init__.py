@@ -34,8 +34,6 @@ from repro.storage.relational.query import (
     SelectQuery,
     TableRef,
 )
-from repro.storage.relational.reference import ReferenceQueryExecutor
-from repro.storage.relational.sqlgen import count_query_lines, render_select
 from repro.storage.relational.table import ColumnDefinition, Table, TableSchema
 from repro.storage.relational.vectorized import filter_positions
 
@@ -63,7 +61,6 @@ __all__ = [
     "OutputColumn",
     "QueryExecutor",
     "QueryResult",
-    "ReferenceQueryExecutor",
     "RelationalDatabase",
     "RowFieldView",
     "SelectQuery",
@@ -73,9 +70,7 @@ __all__ = [
     "TableSchema",
     "TrueExpression",
     "conjoin",
-    "count_query_lines",
     "equality_lookups",
     "filter_positions",
     "range_lookups",
-    "render_select",
 ]

@@ -72,30 +72,12 @@ DEFAULT_SORTED_INDEXES: dict[str, tuple[str, ...]] = {
 
 
 class RelationalDatabase:
-    """In-memory relational store for audit logging data.
+    """In-memory relational store for audit logging data."""
 
-    Args:
-        executor: ``"vectorized"`` (the columnar
-            :class:`~repro.storage.relational.executor.QueryExecutor`, the
-            production engine) or ``"reference"`` (the row-dict
-            :class:`~repro.storage.relational.reference.ReferenceQueryExecutor`
-            oracle the differential harness compares it against).  Planning
-            and EXPLAIN always go through the shared planner.
-    """
-
-    def __init__(self, executor: str = "vectorized") -> None:
-        if executor not in ("vectorized", "reference"):
-            raise QueryError(f"unknown relational executor {executor!r}")
+    def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self.clear()
-        self._planner = QueryExecutor(self._tables)
-        if executor == "vectorized":
-            self._executor = self._planner
-        else:
-            from repro.storage.relational.reference import ReferenceQueryExecutor
-
-            self._executor = ReferenceQueryExecutor(self._tables)
-        self.executor_name = executor
+        self._executor = QueryExecutor(self._tables)
 
     def clear(self) -> None:
         """Drop every row and rebuild the audit schema with fresh indexes."""
@@ -176,11 +158,11 @@ class RelationalDatabase:
 
     def plan(self, query: SelectQuery) -> ExecutionPlan:
         """Plan a query without executing it."""
-        return self._planner.plan(query)
+        return self._executor.plan(query)
 
     def explain(self, query: SelectQuery) -> list[str]:
         """EXPLAIN-style plan description."""
-        return self._planner.explain(query)
+        return self._executor.explain(query)
 
     # -- statistics ----------------------------------------------------------
 

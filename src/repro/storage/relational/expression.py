@@ -5,8 +5,8 @@ express TBQL attribute filters after compilation: comparisons (including SQL
 ``LIKE`` with ``%`` wildcards), boolean combinators, membership tests and
 column-to-column comparisons for join conditions.  Expressions are plain
 objects with an ``evaluate(row)`` method plus enough introspection for the
-planner to extract indexable predicates and for the SQL generator to render
-text.
+planner to extract indexable predicates; :mod:`repro.storage.sql.render`
+renders them as SQL text.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def escape_like(value: str) -> str:
 
     Backslash is the escape character: ``\\%``, ``\\_`` and ``\\\\`` denote a
     literal percent, underscore and backslash.  The convention is honored
-    identically by :meth:`Like.evaluate` and the SQL renderers (which emit an
+    identically by :meth:`Like.evaluate` and the SQL renderer (which emits an
     ``ESCAPE '\\'`` clause whenever the pattern contains an escape).
     """
     return (
@@ -77,7 +77,7 @@ def canonical_like_pattern(pattern: str) -> str:
 
     Literal ``%``, ``_`` and ``\\`` characters come out backslash-escaped and
     everything else bare, so the result is unambiguous regardless of how
-    lenient the input spelling was.  SQL renderers emit this form (with an
+    lenient the input spelling was.  The SQL renderer emits this form (with an
     ``ESCAPE`` clause when it contains a backslash) so sqlite's strict escape
     semantics agree with :meth:`Like.evaluate`.
     """
@@ -100,10 +100,6 @@ class Expression:
     def columns(self) -> set[str]:
         """All column names referenced by the expression."""
         return set()
-
-    def to_sql(self) -> str:
-        """Render the expression as SQL text (used for query explanation)."""
-        raise NotImplementedError
 
     # -- combinators -------------------------------------------------------
 
@@ -132,9 +128,6 @@ class Column(Expression):
     def columns(self) -> set[str]:
         return {self.name}
 
-    def to_sql(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class Literal(Expression):
@@ -144,14 +137,6 @@ class Literal(Expression):
 
     def evaluate(self, row: Row) -> Any:
         return self.value
-
-    def to_sql(self) -> str:
-        if isinstance(self.value, str):
-            escaped = self.value.replace("'", "''")
-            return f"'{escaped}'"
-        if self.value is None:
-            return "NULL"
-        return str(self.value)
 
 
 _COMPARATORS = {
@@ -193,9 +178,6 @@ class Comparison(Expression):
     def columns(self) -> set[str]:
         return self.left.columns() | self.right.columns()
 
-    def to_sql(self) -> str:
-        return f"{self.left.to_sql()} {self.operator} {self.right.to_sql()}"
-
 
 @dataclass(frozen=True)
 class Like(Expression):
@@ -227,15 +209,6 @@ class Like(Expression):
     def columns(self) -> set[str]:
         return self.operand.columns()
 
-    def to_sql(self) -> str:
-        keyword = "NOT LIKE" if self.negate else "LIKE"
-        canonical = canonical_like_pattern(self.pattern)
-        escaped = canonical.replace("'", "''")
-        rendered = f"{self.operand.to_sql()} {keyword} '{escaped}'"
-        if LIKE_ESCAPE_CHAR in canonical:
-            rendered += f" ESCAPE '{LIKE_ESCAPE_CHAR}'"
-        return rendered
-
 
 @dataclass(frozen=True)
 class InList(Expression):
@@ -252,15 +225,6 @@ class InList(Expression):
 
     def columns(self) -> set[str]:
         return self.operand.columns()
-
-    def to_sql(self) -> str:
-        if not self.values:
-            # ``IN ()`` is a SQL syntax error; the empty membership test is
-            # vacuously false (true when negated).
-            return "1=1" if self.negate else "1=0"
-        keyword = "NOT IN" if self.negate else "IN"
-        rendered = ", ".join(Literal(value).to_sql() for value in self.values)
-        return f"{self.operand.to_sql()} {keyword} ({rendered})"
 
 
 @dataclass(frozen=True)
@@ -279,12 +243,6 @@ class Between(Expression):
 
     def columns(self) -> set[str]:
         return self.operand.columns()
-
-    def to_sql(self) -> str:
-        return (
-            f"{self.operand.to_sql()} BETWEEN {Literal(self.low).to_sql()} "
-            f"AND {Literal(self.high).to_sql()}"
-        )
 
 
 class And(Expression):
@@ -312,9 +270,6 @@ class And(Expression):
                 conjuncts.append(operand)
         return conjuncts
 
-    def to_sql(self) -> str:
-        return " AND ".join(f"({operand.to_sql()})" for operand in self.operands)
-
     def __repr__(self) -> str:
         return f"And({list(self.operands)!r})"
 
@@ -334,9 +289,6 @@ class Or(Expression):
             referenced |= operand.columns()
         return referenced
 
-    def to_sql(self) -> str:
-        return " OR ".join(f"({operand.to_sql()})" for operand in self.operands)
-
     def __repr__(self) -> str:
         return f"Or({list(self.operands)!r})"
 
@@ -353,9 +305,6 @@ class Not(Expression):
     def columns(self) -> set[str]:
         return self.operand.columns()
 
-    def to_sql(self) -> str:
-        return f"NOT ({self.operand.to_sql()})"
-
 
 @dataclass(frozen=True)
 class TrueExpression(Expression):
@@ -363,9 +312,6 @@ class TrueExpression(Expression):
 
     def evaluate(self, row: Row) -> bool:
         return True
-
-    def to_sql(self) -> str:
-        return "TRUE"
 
 
 def conjoin(expressions: Sequence[Expression]) -> Expression:

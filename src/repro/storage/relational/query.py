@@ -5,8 +5,7 @@ tables: a set of table references with aliases, per-alias filter predicates,
 equi-join conditions between aliases, a projection list, and the usual
 ``DISTINCT`` / ``ORDER BY`` / ``LIMIT`` modifiers.  The TBQL SQL compiler emits
 these objects; :mod:`repro.storage.relational.executor` plans and runs them;
-:mod:`repro.storage.relational.sqlgen` renders them as SQL text for the
-conciseness comparison against TBQL.
+:mod:`repro.storage.sql.render` renders them as SQL text.
 """
 
 from __future__ import annotations
@@ -38,12 +37,6 @@ class JoinCondition:
     def aliases(self) -> tuple[str, str]:
         return (self.left_alias, self.right_alias)
 
-    def to_sql(self) -> str:
-        return (
-            f"{self.left_alias}.{self.left_column} = "
-            f"{self.right_alias}.{self.right_column}"
-        )
-
 
 @dataclass(frozen=True)
 class OutputColumn:
@@ -57,12 +50,6 @@ class OutputColumn:
     def output_name(self) -> str:
         return self.name or f"{self.alias}.{self.column}"
 
-    def to_sql(self) -> str:
-        rendered = f"{self.alias}.{self.column}"
-        if self.name:
-            rendered += f" AS {self.name}"
-        return rendered
-
 
 @dataclass(frozen=True)
 class OrderBy:
@@ -71,10 +58,6 @@ class OrderBy:
     alias: str
     column: str
     descending: bool = False
-
-    def to_sql(self) -> str:
-        direction = "DESC" if self.descending else "ASC"
-        return f"{self.alias}.{self.column} {direction}"
 
 
 @dataclass

@@ -69,22 +69,16 @@ class SegmentedRelationalDatabase:
         data_dir: Directory holding the manifest and sealed segments.  Opening
             an existing directory restores its sealed state (entities eagerly,
             event segments lazily).
-        executor: ``"vectorized"`` or ``"reference"``, as for
-            :class:`~repro.storage.relational.database.RelationalDatabase`.
         segment_rows: Memtable event count at which a seal is triggered.
     """
 
     def __init__(
         self,
         data_dir: str | Path,
-        executor: str = "vectorized",
         segment_rows: int = DEFAULT_SEGMENT_ROWS,
     ) -> None:
-        if executor not in ("vectorized", "reference"):
-            raise QueryError(f"unknown relational executor {executor!r}")
         if segment_rows < 1:
             raise QueryError(f"segment_rows must be positive, got {segment_rows}")
-        self.executor_name = executor
         self._segment_rows = segment_rows
         self._manifest = SegmentManifest(data_dir)
         self._data_dir = self._manifest.directory
@@ -92,27 +86,19 @@ class SegmentedRelationalDatabase:
             "entities": _indexed_table("entities"),
             "events": _indexed_table("events"),
         }
-        self._planner = QueryExecutor(self._tables)
-        self._executor = self._build_executor(self._tables)
+        self._executor = QueryExecutor(self._tables)
         self._entries: list[dict[str, Any]] = []
         self._segments: list[SegmentReader] = []
-        self._segment_executors: dict[str, Any] = {}
+        self._segment_executors: dict[str, QueryExecutor] = {}
         self._unsealed_entities: list[dict[str, Any]] = []
         self._next_segment = 0
-        self._combined: tuple[dict[str, Table], Any] | None = None
+        self._combined: tuple[dict[str, Table], QueryExecutor] | None = None
         #: Cumulative segment-pruning counters, reset by :meth:`reset_scan_counters`.
         self.segments_pruned = 0
         self.segments_scanned = 0
         self._open()
 
     # -- lifecycle -----------------------------------------------------------
-
-    def _build_executor(self, tables: dict[str, Table]) -> Any:
-        if self.executor_name == "vectorized":
-            return QueryExecutor(tables)
-        from repro.storage.relational.reference import ReferenceQueryExecutor
-
-        return ReferenceQueryExecutor(tables)
 
     def _open(self) -> None:
         """Restore sealed state from the manifest; drop unreferenced orphans.
@@ -338,11 +324,11 @@ class SegmentedRelationalDatabase:
 
     def plan(self, query: SelectQuery) -> ExecutionPlan:
         """Plan a query (against the memtable's statistics) without executing."""
-        return self._planner.plan(query)
+        return self._executor.plan(query)
 
     def explain(self, query: SelectQuery) -> list[str]:
         """EXPLAIN-style plan description."""
-        return self._planner.explain(query)
+        return self._executor.explain(query)
 
     # -- statistics ------------------------------------------------------------
 
@@ -400,18 +386,18 @@ class SegmentedRelationalDatabase:
             rows = list(dict.fromkeys(rows))
         return QueryResult(columns=columns, rows=tuple(rows))
 
-    def _segment_executor(self, reader: SegmentReader) -> Any:
+    def _segment_executor(self, reader: SegmentReader) -> QueryExecutor:
         executor = self._segment_executors.get(reader.name)
         if executor is None:
             tables = {
                 "entities": self._tables["entities"],
                 "events": reader.table("events"),
             }
-            executor = self._build_executor(tables)
+            executor = QueryExecutor(tables)
             self._segment_executors[reader.name] = executor
         return executor
 
-    def _combined_view(self) -> tuple[dict[str, Table], Any]:
+    def _combined_view(self) -> tuple[dict[str, Table], QueryExecutor]:
         """Lazily materialize every event row into one indexed table."""
         if self._combined is None:
             combined = _indexed_table("events")
@@ -419,7 +405,7 @@ class SegmentedRelationalDatabase:
                 combined.insert_many(reader.table("events").scan())
             combined.insert_many(self._tables["events"].scan())
             tables = {"entities": self._tables["entities"], "events": combined}
-            self._combined = (tables, self._build_executor(tables))
+            self._combined = (tables, QueryExecutor(tables))
         return self._combined
 
     def _invalidate_combined(self) -> None:

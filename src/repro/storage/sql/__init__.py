@@ -1,6 +1,5 @@
-"""sqlite3-backed SQL execution backend (``backend="sql"``)."""
+"""SQL text rendering for relational data queries."""
 
-from repro.storage.sql.database import SqliteRelationalDatabase
 from repro.storage.sql.render import (
     ExpressionRenderer,
     RenderedSQL,
@@ -11,7 +10,6 @@ from repro.storage.sql.render import (
 __all__ = [
     "ExpressionRenderer",
     "RenderedSQL",
-    "SqliteRelationalDatabase",
     "render_expression",
     "render_select_query",
 ]

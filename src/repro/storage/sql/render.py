@@ -1,11 +1,16 @@
-"""Parameterized SQL rendering for relational queries.
+"""SQL rendering for relational queries: the one SQL renderer.
 
-The legacy ``Expression.to_sql`` strings interpolate literals into the text
-and are kept for EXPLAIN output only.  This module renders a
-:class:`~repro.storage.relational.query.SelectQuery` into **executable** SQL:
-literals become ``?`` placeholders bound server-side, and per-alias column
-qualification happens structurally on the expression tree (replacing the
-character-level token rewrite ``sqlgen`` used to apply to rendered text).
+ThreatRaptor compiles each TBQL event pattern "into a SQL data query which
+joins entity tables with event table".  This module renders the logical
+:class:`~repro.storage.relational.query.SelectQuery` objects produced by that
+compilation, walking the expression tree structurally (per-alias column
+qualification happens on :class:`Column` nodes), in two modes:
+
+* **parameterized** — executable SQL: literals become ``?`` placeholders bound
+  server-side.  The sqlite3 oracle under ``tests/oracles/`` runs this text.
+* **inline** — readable text with literals interpolated and no null guards,
+  for explanation and the query-conciseness experiment (EXP-SYNTH), which
+  compares a synthesized TBQL query against the SQL the engine would run.
 
 The parameterized mode is engineered to agree row-for-row with
 ``Expression.evaluate``:
@@ -21,9 +26,6 @@ The parameterized mode is engineered to agree row-for-row with
 * ``LIKE`` patterns are re-emitted in canonical backslash-escaped form with
   an explicit ``ESCAPE`` clause, so literal ``%``/``_`` match literally on
   both sides.
-
-The inline (non-parameterized) mode mirrors the classic ``to_sql`` text with
-qualification applied, and backs :func:`repro.storage.relational.sqlgen.render_select`.
 """
 
 from __future__ import annotations
@@ -58,14 +60,23 @@ class RenderedSQL:
     parameters: tuple[Any, ...]
 
 
+def _inline_literal(value: Any) -> str:
+    """A constant as inline SQL text (single quotes doubled)."""
+    if isinstance(value, str):
+        escaped = value.replace("'", "''")
+        return f"'{escaped}'"
+    if value is None:
+        return "NULL"
+    return str(value)
+
+
 class ExpressionRenderer:
     """Renders :class:`Expression` trees to SQL, collecting bind parameters.
 
     Args:
         parameterized: Emit ``?`` placeholders with server-side binding and
-            evaluate-faithful null/coercion semantics when True; mirror the
-            legacy inline ``to_sql`` text (literals interpolated, no null
-            guards) when False.
+            evaluate-faithful null/coercion semantics when True; inline
+            text (literals interpolated, no null guards) when False.
     """
 
     def __init__(self, parameterized: bool = True) -> None:
@@ -93,7 +104,7 @@ class ExpressionRenderer:
         if isinstance(expression, TrueExpression):
             return "TRUE" if not self.parameterized else "1=1"
         if isinstance(expression, (Column, Literal)) and not self.parameterized:
-            # Explain text tolerates odd trees; mirror ``to_sql`` faithfully.
+            # Inline text tolerates odd trees.
             text, _ = self._operand(expression, alias)
             return text
         raise QueryError(
@@ -111,7 +122,7 @@ class ExpressionRenderer:
         if isinstance(expression, Literal):
             if self.parameterized:
                 return "?", (expression.value,)
-            return expression.to_sql(), ()
+            return _inline_literal(expression.value), ()
         raise QueryError(
             f"unsupported operand expression {type(expression).__name__}"
         )
@@ -229,7 +240,7 @@ class ExpressionRenderer:
                 return "1=1" if membership.negate else "1=0"
             keyword = "NOT IN" if membership.negate else "IN"
             operand_text, _ = self._operand(membership.operand, alias)
-            rendered = ", ".join(Literal(v).to_sql() for v in membership.values)
+            rendered = ", ".join(_inline_literal(v) for v in membership.values)
             return f"{operand_text} {keyword} ({rendered})"
         non_null = tuple(v for v in membership.values if v is not None)
         has_null = len(non_null) != len(membership.values)
@@ -251,11 +262,12 @@ class ExpressionRenderer:
         return f"NOT ({containment})" if membership.negate else containment
 
     def _between(self, between: Between, alias: str | None) -> str:
-        low_sql = Literal(between.low).to_sql()
-        high_sql = Literal(between.high).to_sql()
         if not self.parameterized:
             operand_text, _ = self._operand(between.operand, alias)
-            return f"{operand_text} BETWEEN {low_sql} AND {high_sql}"
+            return (
+                f"{operand_text} BETWEEN {_inline_literal(between.low)} "
+                f"AND {_inline_literal(between.high)}"
+            )
         guard = f"{self._emit(between.operand, alias)} IS NOT NULL"
         operand = self._emit_stripped(between.operand, alias)
         self.parameters.extend((between.low, between.high))
@@ -291,7 +303,7 @@ def render_select_query(
     Args:
         query: The logical query to render.
         parameterized: Executable mode with ``?`` placeholders when True;
-            legacy inline explain text when False.
+            inline text when False.
         pretty: One clause per line when True; single line otherwise.
     """
     renderer = ExpressionRenderer(parameterized)
@@ -307,7 +319,11 @@ def render_select_query(
                 for output in query.projection
             )
         else:
-            select_list = ", ".join(output.to_sql() for output in query.projection)
+            select_list = ", ".join(
+                f"{output.alias}.{output.column}"
+                + (f" AS {output.name}" if output.name else "")
+                for output in query.projection
+            )
     else:
         select_list = "*"
     select_clause = "SELECT " + ("DISTINCT " if query.distinct else "") + select_list
@@ -324,7 +340,11 @@ def render_select_query(
         rendered = renderer.predicate(alias_filter, alias)
         if rendered not in ("TRUE", "1=1"):
             where_terms.append(rendered)
-    where_terms.extend(join.to_sql() for join in query.joins)
+    where_terms.extend(
+        f"{join.left_alias}.{join.left_column} = "
+        f"{join.right_alias}.{join.right_column}"
+        for join in query.joins
+    )
     where_terms.extend(
         renderer.predicate(predicate, None) for predicate in query.cross_filters
     )
@@ -335,7 +355,11 @@ def render_select_query(
         clauses.append("WHERE " + glue.join(where_terms))
     if query.order_by:
         clauses.append(
-            "ORDER BY " + ", ".join(term.to_sql() for term in query.order_by)
+            "ORDER BY "
+            + ", ".join(
+                f"{term.alias}.{term.column} {'DESC' if term.descending else 'ASC'}"
+                for term in query.order_by
+            )
         )
     if query.limit is not None:
         clauses.append(f"LIMIT {int(query.limit)}")

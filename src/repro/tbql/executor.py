@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import ExecutionError
-from repro.storage.graph.pattern import PathMatcher
 from repro.storage.graph.pattern import PathPattern as GraphPathPattern
 from repro.storage.graph.planner import CostGuidedPathMatcher
 from repro.storage.loader import AuditStore
@@ -103,17 +102,9 @@ class TBQLExecutionEngine:
         backend: ``"auto"`` (event patterns on the relational backend, path
             patterns on the graph backend — the paper's design), ``"relational"``
             (everything on the relational backend; path patterns still fall
-            back to the graph store), ``"sql"`` (like ``"relational"``, but the
-            store's relational engine is the sqlite3-backed
-            :class:`~repro.storage.sql.database.SqliteRelationalDatabase`), or
-            ``"graph"`` (everything on the graph backend).  The non-default
-            modes exist for the backend-comparison benchmarks and the
-            differential harness.
-        graph_matcher: ``"planner"`` (the cost-guided
-            :class:`~repro.storage.graph.planner.CostGuidedPathMatcher`, the
-            default) or ``"reference"`` (the always-forward DFS
-            :class:`~repro.storage.graph.pattern.PathMatcher`, kept as the
-            correctness oracle for property tests and benchmarks).
+            back to the graph store), or ``"graph"`` (everything on the graph
+            backend).  The non-default modes exist for the backend-comparison
+            benchmarks and the differential harness.
         analysis_mode: ``"enforce"`` (static-analysis errors reject the query
             before execution/preparation — the default), ``"warn"`` (analysis
             runs, findings are reported, nothing gates) or ``"off"`` (no
@@ -126,19 +117,15 @@ class TBQLExecutionEngine:
         self,
         store: AuditStore,
         backend: str = "auto",
-        graph_matcher: str = "planner",
         analysis_mode: str = "enforce",
         analysis_policy: AnalysisPolicy | None = None,
     ) -> None:
-        if backend not in ("auto", "relational", "sql", "graph"):
+        if backend not in ("auto", "relational", "graph"):
             raise ExecutionError(f"unknown backend {backend!r}")
-        if graph_matcher not in ("planner", "reference"):
-            raise ExecutionError(f"unknown graph matcher {graph_matcher!r}")
         if analysis_mode not in ("enforce", "warn", "off"):
             raise ExecutionError(f"unknown analysis mode {analysis_mode!r}")
         self._store = store
         self._backend = backend
-        self._graph_matcher = graph_matcher
         self._scheduler = ExecutionScheduler()
         self._analyzer = SemanticAnalyzer()
         self.analysis_mode = analysis_mode
@@ -375,10 +362,7 @@ class TBQLExecutionEngine:
 
         Returns the bindings plus the planner's EXPLAIN summary.
         """
-        if self._graph_matcher == "reference":
-            matcher = PathMatcher(self._store.graph)
-        else:
-            matcher = CostGuidedPathMatcher(self._store.graph)
+        matcher = CostGuidedPathMatcher(self._store.graph)
         bindings: list[Binding] = []
         for path in matcher.match(graph_pattern):
             subject_node, object_node = path.start, path.end
@@ -410,7 +394,7 @@ class TBQLExecutionEngine:
                 }
             )
         plan_summary = None
-        if isinstance(matcher, CostGuidedPathMatcher) and matcher.last_plan is not None:
+        if matcher.last_plan is not None:
             plan_summary = matcher.last_plan.describe()
         return bindings, plan_summary
 

@@ -2,8 +2,8 @@
 
 The acceptance harness of this test module runs ≥8 distinct generated
 campaigns' expected TBQL hunts through every engine configuration —
-vectorized/reference relational executor, relational/graph/sqlite backend,
-ad-hoc batch execution vs prepared streaming replay — and asserts that every
+relational/graph backend, memory/segmented storage, ad-hoc batch execution vs
+prepared streaming replay — and asserts that every
 configuration returns identical matched event-id sets and identical hunting
 precision/recall/F1 on each campaign.
 """
@@ -40,29 +40,20 @@ def report(harness, campaigns):
 
 class TestConfigurationMatrix:
     def test_matrix_covers_every_axis_both_ways(self):
-        assert {config.backend for config in ENGINE_CONFIGURATIONS} == {
-            "relational",
-            "graph",
-            "sql",
-        }
-        assert {config.relational_executor for config in ENGINE_CONFIGURATIONS} == {
-            "vectorized",
-            "reference",
-        }
+        assert {config.backend for config in ENGINE_CONFIGURATIONS} == {"relational", "graph"}
         assert {config.streaming for config in ENGINE_CONFIGURATIONS} == {True, False}
-        assert {config.graph_matcher for config in ENGINE_CONFIGURATIONS} == {
-            "planner",
-            "reference",
-        }
+        assert {config.storage for config in ENGINE_CONFIGURATIONS} == {"memory", "segments"}
+        assert {config.crash_resume for config in ENGINE_CONFIGURATIONS} == {True, False}
+        assert len(ENGINE_CONFIGURATIONS) == 8
 
     def test_configuration_names_unique(self):
         names = [config.name for config in ENGINE_CONFIGURATIONS]
         assert len(names) == len(set(names))
 
-    def test_matrix_includes_sql_batch_and_streaming(self):
-        sql_configs = [c for c in ENGINE_CONFIGURATIONS if c.backend == "sql"]
-        assert {c.streaming for c in sql_configs} == {True, False}
-        assert len(ENGINE_CONFIGURATIONS) == 13
+    def test_oracle_axes_are_gone(self):
+        for removed in ("relational_executor", "graph_matcher"):
+            with pytest.raises(TypeError):
+                EngineConfiguration(name="x", **{removed: "reference"})
 
 
 class TestDifferentialConsistency:

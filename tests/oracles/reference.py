@@ -3,17 +3,11 @@
 This module preserves the engine's original per-row-dict execution path —
 qualified row dicts per alias, per-row ``Expression.evaluate`` residual
 filtering, dict-merging hash joins — exactly as it ran before the columnar
-rework.  It exists for two reasons:
-
-* the **property tests** compare the vectorized executor's output row-for-row
-  against this naive evaluator on randomized tables and queries;
-* the **columnar benchmarks** use it as the row-dict baseline the ≥3× speedup
-  acceptance criterion is measured against.
-
-It is *not* used on any production path.  Row dicts are materialized once per
-table and cached (keyed by row count so appends invalidate), mirroring the
-old engine's dict-based row store without re-paying materialization on every
-query.
+rework.  It is a test oracle: the property tests and the data-query
+differential test compare the columnar
+:class:`~repro.storage.relational.executor.QueryExecutor` row-for-row against
+this naive evaluator.  Row dicts are materialized once per table and cached
+(keyed by row count so appends invalidate).
 """
 
 from __future__ import annotations
@@ -192,5 +186,3 @@ class ReferenceQueryExecutor:
                 joined.append(dict(row, **match))
         return joined
 
-
-__all__ = ["ReferenceQueryExecutor"]

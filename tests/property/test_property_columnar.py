@@ -32,9 +32,9 @@ from repro.storage.relational.expression import (
 )
 from repro.storage.relational.executor import QueryExecutor
 from repro.storage.relational.query import SelectQuery
-from repro.storage.relational.reference import ReferenceQueryExecutor
 from repro.storage.relational.table import ColumnDefinition, Table, TableSchema
 from repro.tbql.executor import TBQLExecutionEngine
+from tests.oracles import ReferenceQueryExecutor
 
 SCHEMA = TableSchema(
     name="items",

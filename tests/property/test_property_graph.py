@@ -8,12 +8,14 @@ Two independent oracles pin the new machinery down:
   identical result rows;
 * **planner vs. DFS oracle** — randomized graph path patterns (direction,
   lengths, windows, id constraints) are matched with the cost-guided
-  :class:`CostGuidedPathMatcher` and the retained always-forward
-  :class:`PathMatcher`; the enumerated path sets must be identical, whichever
-  strategy the planner picks.
+  :class:`CostGuidedPathMatcher` and the always-forward DFS
+  :class:`~tests.oracles.PathMatcher`; the enumerated path sets must be
+  identical, whichever strategy the planner picks.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,11 +24,12 @@ from repro.auditing.entities import FileEntity, ProcessEntity
 from repro.auditing.events import EntityType, Operation, SystemEvent
 from repro.auditing.trace import AuditTrace
 from repro.storage.graph.graphdb import GraphDatabase
-from repro.storage.graph.pattern import EdgePattern, NodePattern, PathMatcher
+from repro.storage.graph.pattern import EdgePattern, NodePattern
 from repro.storage.graph.pattern import PathPattern as GraphPathPattern
 from repro.storage.graph.planner import CostGuidedPathMatcher
 from repro.storage.loader import AuditStore
 from repro.tbql.executor import TBQLExecutionEngine
+from tests.oracles import PathMatcher
 
 _EXENAMES = ["/bin/bash", "/bin/tar", "/usr/bin/python3"]
 _FILENAMES = ["/etc/passwd", "/tmp/staging/archive.tar", "/home/alice/doc.txt"]
@@ -86,6 +89,12 @@ _QUERIES = [
 ]
 
 
+class _DfsMatcher(PathMatcher):
+    """The DFS oracle standing in for the engine's matcher (it plans nothing)."""
+
+    last_plan = None
+
+
 class TestCrossBackendParity:
     """backend="relational" and backend="graph" bind identical event sets."""
 
@@ -106,10 +115,10 @@ class TestCrossBackendParity:
     def test_planner_engine_matches_reference_engine(self, specs, query):
         store = AuditStore(apply_reduction=False)
         store.load_trace(_build_trace(specs))
-        planner = TBQLExecutionEngine(store, backend="graph", graph_matcher="planner")
-        reference = TBQLExecutionEngine(store, backend="graph", graph_matcher="reference")
-        planned = planner.execute(query)
-        oracle = reference.execute(query)
+        engine = TBQLExecutionEngine(store, backend="graph")
+        planned = engine.execute(query)
+        with mock.patch("repro.tbql.executor.CostGuidedPathMatcher", _DfsMatcher):
+            oracle = engine.execute(query)
         assert sorted(planned.rows) == sorted(oracle.rows)
         assert {
             event_id: set(ids) for event_id, ids in planned.matched_event_ids.items()

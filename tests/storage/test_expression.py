@@ -23,6 +23,12 @@ from repro.storage.relational.expression import (
     range_lookups,
     unescape_like,
 )
+from repro.storage.sql.render import render_expression
+
+
+def _inline_sql(expression) -> str:
+    return render_expression(expression, parameterized=False).text
+
 
 ROW = {"name": "/etc/passwd", "size": 120, "optype": "read", "starttime": 500}
 
@@ -81,8 +87,8 @@ class TestLike:
         assert Like(Column("name"), "file(1).txt").evaluate(row)
         assert not Like(Column("name"), "file(2).txt").evaluate(row)
 
-    def test_to_sql(self):
-        assert Like(Column("name"), "%x%").to_sql() == "name LIKE '%x%'"
+    def test_inline_sql(self):
+        assert _inline_sql(Like(Column("name"), "%x%")) == "name LIKE '%x%'"
 
 
 class TestLikeEscaping:
@@ -113,10 +119,10 @@ class TestLikeEscaping:
         assert not like_has_wildcards(escape_like("a%b"))
         assert unescape_like(escape_like("a%b")) == "a%b"
 
-    def test_to_sql_emits_escape_clause_only_when_needed(self):
-        rendered = Like(Column("name"), escape_like("a%b")).to_sql()
+    def test_inline_sql_emits_escape_clause_only_when_needed(self):
+        rendered = _inline_sql(Like(Column("name"), escape_like("a%b")))
         assert rendered == "name LIKE 'a\\%b' ESCAPE '\\'"
-        assert "ESCAPE" not in Like(Column("name"), "%x%").to_sql()
+        assert "ESCAPE" not in _inline_sql(Like(Column("name"), "%x%"))
 
     def test_equality_lookup_unescapes(self):
         lookups = equality_lookups(Like(Column("name"), escape_like("a%b")))
@@ -167,15 +173,15 @@ class TestBetweenAndInList:
         assert not InList(Column("optype"), ("write",)).evaluate(ROW)
         assert InList(Column("optype"), ("write",), negate=True).evaluate(ROW)
 
-    def test_to_sql_rendering(self):
-        assert "BETWEEN" in Between(Column("starttime"), 1, 2).to_sql()
-        assert "IN ('read', 'write')" in InList(Column("optype"), ("read", "write")).to_sql()
+    def test_inline_sql_rendering(self):
+        assert "BETWEEN 1 AND 2" in _inline_sql(Between(Column("starttime"), 1, 2))
+        assert "IN ('read', 'write')" in _inline_sql(InList(Column("optype"), ("read", "write")))
 
     def test_empty_in_list_renders_valid_sql(self):
         # ``IN ()`` is a sqlite syntax error; the empty membership test must
         # render as a constant predicate instead.
-        assert InList(Column("optype"), ()).to_sql() == "1=0"
-        assert InList(Column("optype"), (), negate=True).to_sql() == "1=1"
+        assert _inline_sql(InList(Column("optype"), ())) == "1=0"
+        assert _inline_sql(InList(Column("optype"), (), negate=True)) == "1=1"
 
     def test_empty_in_list_evaluation_matches_rendering(self):
         assert not InList(Column("optype"), ()).evaluate(ROW)

@@ -10,7 +10,8 @@ from repro.auditing.trace import AuditTrace
 from repro.storage.graph.cypher import render_path_pattern
 from repro.storage.graph.graphdb import GraphDatabase
 from repro.storage.graph.model import Edge, Node
-from repro.storage.graph.pattern import EdgePattern, NodePattern, PathMatcher, PathPattern
+from repro.storage.graph.pattern import EdgePattern, NodePattern, PathPattern
+from tests.oracles import PathMatcher
 
 
 @pytest.fixture

@@ -8,8 +8,9 @@ from repro.auditing.entities import FileEntity, ProcessEntity
 from repro.auditing.events import EntityType, Operation, SystemEvent
 from repro.auditing.trace import AuditTrace
 from repro.storage.graph.graphdb import GraphDatabase
-from repro.storage.graph.pattern import EdgePattern, NodePattern, PathMatcher, PathPattern
+from repro.storage.graph.pattern import EdgePattern, NodePattern, PathPattern
 from repro.storage.graph.planner import CostGuidedPathMatcher
+from tests.oracles import PathMatcher
 
 
 def _chain_store(chains: int = 8, noise_files_per_helper: int = 10) -> GraphDatabase:

@@ -11,7 +11,11 @@ from repro.errors import QueryError
 from repro.storage.relational.database import RelationalDatabase
 from repro.storage.relational.expression import Between, Column, Comparison, Like, Literal
 from repro.storage.relational.query import OrderBy, SelectQuery
-from repro.storage.relational.sqlgen import count_query_lines, render_select
+from repro.storage.sql.render import render_select_query
+
+
+def render_select(query: SelectQuery, pretty: bool = True) -> str:
+    return render_select_query(query, parameterized=False, pretty=pretty).text
 
 
 @pytest.fixture
@@ -197,10 +201,6 @@ class TestSQLGeneration:
     def test_render_single_line(self):
         sql = render_select(_join_query(), pretty=False)
         assert "\n" not in sql
-
-    def test_count_query_lines(self):
-        sql = render_select(_join_query())
-        assert count_query_lines(sql) == len(sql.splitlines())
 
     def test_qualification_does_not_touch_string_literals(self):
         query = SelectQuery()

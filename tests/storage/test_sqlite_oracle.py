@@ -1,4 +1,4 @@
-"""Tests for the sqlite3-backed SQL execution backend (``backend="sql"``)."""
+"""The sqlite3 oracle and the SQL renderer agree with the in-memory engine."""
 
 from __future__ import annotations
 
@@ -7,10 +7,6 @@ import pytest
 from repro.auditing.entities import EntityType, FileEntity, ProcessEntity
 from repro.auditing.events import Operation, SystemEvent
 from repro.auditing.trace import AuditTrace
-from repro.core.config import ThreatRaptorConfig
-from repro.core.pipeline import ThreatRaptor
-from repro.errors import ConfigurationError, QueryError, StorageError
-from repro.storage.loader import AuditStore
 from repro.storage.relational.database import RelationalDatabase
 from repro.storage.relational.expression import (
     Column,
@@ -21,9 +17,8 @@ from repro.storage.relational.expression import (
     escape_like,
 )
 from repro.storage.relational.query import SelectQuery
-from repro.storage.sql.database import SqliteRelationalDatabase
 from repro.storage.sql.render import render_select_query
-from repro.tbql.executor import TBQLExecutionEngine
+from tests.oracles import SqliteRelationalDatabase
 
 
 def _trace() -> AuditTrace:
@@ -71,12 +66,8 @@ def memory_db() -> RelationalDatabase:
 
 
 class TestSqliteRelationalDatabase:
-    def test_load_counts(self, sqlite_db: SqliteRelationalDatabase):
-        assert len(sqlite_db) == 7
-        stats = sqlite_db.statistics()
-        assert stats["entities"]["rows"] == 4
-        assert stats["events"]["rows"] == 3
-        assert "id" in stats["events"]["hash_indexes"]
+    def test_load_counts(self):
+        assert SqliteRelationalDatabase().load_trace(_trace()) == {"entities": 4, "events": 3}
 
     def test_execute_matches_memory_engine(
         self, sqlite_db: SqliteRelationalDatabase, memory_db: RelationalDatabase
@@ -130,89 +121,11 @@ class TestSqliteRelationalDatabase:
         assert sql_result.columns == memory_result.columns
         assert set(sql_result.rows) == set(memory_result.rows)
 
-    def test_append_batch_dedupes_entities(self, sqlite_db: SqliteRelationalDatabase):
-        trace = _trace()
-        counts = sqlite_db.append_batch(trace.entities, trace.events[:1])
-        assert counts == {"entities": 0, "events": 1}
-        assert sqlite_db.has_entity(1)
-        assert not sqlite_db.has_entity(99)
-
-    def test_clear_rebuilds_schema(self, sqlite_db: SqliteRelationalDatabase):
-        sqlite_db.clear()
-        assert len(sqlite_db) == 0
-        assert sqlite_db.load_trace(_trace()) == {"entities": 4, "events": 3}
-
-    def test_table_access_is_rejected(self, sqlite_db: SqliteRelationalDatabase):
-        with pytest.raises(QueryError):
-            sqlite_db.table("events")
-
-    def test_explain_includes_sql_and_plan(self, sqlite_db: SqliteRelationalDatabase):
-        lines = sqlite_db.explain(_join_query())
-        assert any(line.startswith("SELECT") for line in lines)
-        assert any(line.startswith("sqlite:") for line in lines)
-
     def test_parameterized_rendering_binds_literals(self):
         rendered = render_select_query(_join_query())
         assert "?" in rendered.text
         assert "read" in rendered.parameters
         assert "read" not in rendered.text
-
-
-class TestAuditStorePlumbing:
-    def test_store_accepts_sql_executor(self):
-        store = AuditStore(relational_executor="sql")
-        assert isinstance(store.relational, SqliteRelationalDatabase)
-        store.load_trace(_trace())
-        assert store.statistics()["relational"]["events"]["rows"] == 3
-
-    def test_sql_executor_rejected_with_segments(self, tmp_path):
-        with pytest.raises(StorageError):
-            AuditStore(
-                relational_executor="sql", storage="segments", data_dir=str(tmp_path)
-            )
-
-    def test_engine_accepts_sql_backend(self):
-        store = AuditStore(relational_executor="sql")
-        store.load_trace(_trace())
-        engine = TBQLExecutionEngine(store, backend="sql")
-        assert engine is not None
-
-
-class TestPipelinePlumbing:
-    def test_config_accepts_sql_backend(self):
-        config = ThreatRaptorConfig(execution_backend="sql").validate()
-        assert config.execution_backend == "sql"
-
-    def test_config_rejects_sql_with_segments(self):
-        with pytest.raises(ConfigurationError):
-            ThreatRaptorConfig(execution_backend="sql", storage="segments").validate()
-
-    def test_pipeline_swaps_relational_engine(self):
-        raptor = ThreatRaptor(ThreatRaptorConfig(execution_backend="sql"))
-        assert isinstance(raptor.store.relational, SqliteRelationalDatabase)
-
-    def test_hunt_matches_relational_backend(
-        self, figure2_simulation, figure2_report_text
-    ):
-        matches = {}
-        for backend in ("relational", "sql"):
-            raptor = ThreatRaptor(ThreatRaptorConfig(execution_backend=backend))
-            raptor.load_trace(figure2_simulation.trace)
-            report = raptor.hunt(figure2_report_text)
-            matches[backend] = set(report.result.all_matched_event_ids())
-        assert matches["sql"] == matches["relational"]
-        assert matches["sql"]
-
-    def test_prepared_standing_hunt_runs_on_sql(
-        self, figure2_simulation, figure2_report_text
-    ):
-        raptor = ThreatRaptor(ThreatRaptorConfig(execution_backend="sql"))
-        raptor.load_trace(figure2_simulation.trace)
-        report = raptor.hunt(figure2_report_text)
-        prepared = raptor.prepare_query(report.query)
-        assert set(prepared.execute().all_matched_event_ids()) == set(
-            report.result.all_matched_event_ids()
-        )
 
 
 class TestNumericCoercionRegression:

@@ -182,3 +182,40 @@ class TestPreparedStandingQueries:
         monitor = QueryMonitor(_noop_execute)
         standing = monitor.register("chain", _CHAIN_QUERY)
         assert monitor._window_overrides(standing, 12345) is None
+
+
+class TestGraphStandingHuntIsDeltaSeeded:
+    def test_one_fresh_alert_per_batch_from_a_window_seeded_search(self):
+        """A graph hunt fed batch by batch alerts once per planted chain, and
+        after the first pass searches from the watermark window's new edges."""
+        from repro.auditing.entities import FileEntity, ProcessEntity
+        from repro.auditing.events import EntityType, Operation, SystemEvent
+        from repro.storage.loader import AuditStore
+        from repro.tbql.executor import TBQLExecutionEngine
+
+        store = AuditStore(apply_reduction=False)
+        engine = TBQLExecutionEngine(store, backend="graph")
+        monitor = QueryMonitor(engine.execute, prepare=engine.prepare)
+        standing = monitor.register(
+            "staging",
+            'proc p["%/bin/bash%"] ~>(2~3)[write] file f["%/tmp/staging/%"] as e '
+            "return distinct p, f",
+        )
+        for index in range(4):
+            first, start = 100 * index + 1, 1_000 * index
+            bash = ProcessEntity(entity_id=first, exename="/bin/bash", pid=first)
+            helper = ProcessEntity(entity_id=first + 1, exename="/usr/bin/python3", pid=first + 1)
+            staged = FileEntity(entity_id=first + 2, name=f"/tmp/staging/batch{index}.tar")
+            noise = FileEntity(entity_id=first + 3, name=f"/var/cache/noise{index}.dat")
+            events = [
+                SystemEvent(first, bash.entity_id, noise.entity_id, Operation.READ,
+                            EntityType.FILE, start, start + 1),
+                SystemEvent(first + 1, bash.entity_id, helper.entity_id, Operation.FORK,
+                            EntityType.PROCESS, start + 10, start + 11),
+                SystemEvent(first + 2, helper.entity_id, staged.entity_id, Operation.WRITE,
+                            EntityType.FILE, start + 20, start + 21),
+            ]
+            store.append_batch([bash, helper, staged, noise], events)
+            alerts = monitor.evaluate(index, None if index == 0 else start)
+            assert [alert.matched_event_ids for alert in alerts] == [(first + 1, first + 2)]
+        assert standing.last_graph_plans["e"]["strategy"] == "window-seeded"

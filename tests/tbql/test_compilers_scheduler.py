@@ -6,7 +6,7 @@ import pytest
 
 from repro.auditing.entities import EntityType
 from repro.storage.loader import AuditStore
-from repro.storage.relational.sqlgen import render_select
+from repro.storage.sql.render import render_select_query
 from repro.tbql.ast import FilterOperator
 from repro.tbql.compiler.cypher_compiler import CypherCompiler
 from repro.tbql.compiler.sql_compiler import SQLCompiler
@@ -20,6 +20,10 @@ from repro.tbql.filters import (
 from repro.tbql.ast import AttributeComparison, FilterExpression
 from repro.tbql.parser import parse_query
 from repro.tbql.scheduler import ExecutionScheduler, pruning_score
+
+
+def render_select(query) -> str:
+    return render_select_query(query, parameterized=False, pretty=True).text
 
 
 def _first_pattern(source: str):

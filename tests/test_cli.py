@@ -156,6 +156,13 @@ class TestErrorPaths:
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["hunt", "watch", "lint"])
+    def test_sql_is_not_a_backend_choice(self, subcommand, report_file, audit_log, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([subcommand, str(report_file), str(audit_log), "--backend", "sql"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'sql'" in capsys.readouterr().err
+
     def test_missing_trace_file_is_error(self, report_file, capsys):
         assert main(["hunt", str(report_file), "/nonexistent/audit.log"]) == 1
         assert "error:" in capsys.readouterr().err

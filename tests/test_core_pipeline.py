@@ -14,8 +14,10 @@ from repro.auditing.trace import AuditTrace
 from repro.core.config import ThreatRaptorConfig
 from repro.core.pipeline import ThreatRaptor
 from repro.data import FIGURE2_REPORT
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.evaluation import score_hunting
+from repro.storage.loader import AuditStore
+from repro.tbql.executor import TBQLExecutionEngine
 
 
 class TestConfig:
@@ -39,10 +41,19 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ThreatRaptor(ThreatRaptorConfig(execution_backend="oracle"))
 
-    def test_storage_partitioning_is_not_a_setting(self):
+    @pytest.mark.parametrize(
+        "removed", [{"shards": 4}, {"relational_executor": "reference"}, {"graph_matcher": "reference"}]
+    )
+    def test_removed_selectors_are_not_settings(self, removed):
         with pytest.raises(TypeError):
-            ThreatRaptorConfig(shards=4)
-        assert len(dataclasses.fields(ThreatRaptorConfig)) == 14
+            ThreatRaptorConfig(**removed)
+        assert len(dataclasses.fields(ThreatRaptorConfig)) == 12
+
+    def test_sql_is_not_an_execution_backend(self):
+        with pytest.raises(ConfigurationError):
+            ThreatRaptorConfig(execution_backend="sql").validate()
+        with pytest.raises(ExecutionError):
+            TBQLExecutionEngine(AuditStore(), backend="sql")
 
 
 class TestCrossHostChain:

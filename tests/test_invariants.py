@@ -143,3 +143,29 @@ class TestMutableDefaultCheck:
             "def f(items=None, name='x', count=0, pair=()):\n    pass\n",
         )
         assert violations == []
+
+
+class TestNoOracleImportCheck:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import sqlite3\n",
+            "def f():\n    import sqlite3 as sql\n",
+            "from sqlite3 import connect\n",
+            "from tests.oracles import PathMatcher\n",
+            "import tests.oracles.sqlite\n",
+        ],
+    )
+    def test_flags_sqlite_and_tests_imports(self, invariants, source):
+        violations = _check(invariants, "check_no_oracle_imports", source)
+        assert len(violations) == 1
+        assert "test oracles stay under tests/" in violations[0].message
+
+    def test_allows_product_and_relative_imports(self, invariants):
+        violations = _check(
+            invariants,
+            "check_no_oracle_imports",
+            "import json\nfrom repro.storage.sql.render import render_select_query\n"
+            "from . import tests\nfrom .tests import helper\n",
+        )
+        assert violations == []
