@@ -147,7 +147,3 @@ def large_simulation() -> SimulationResult:
 def small_store(small_simulation) -> AuditStore:
     return build_store(small_simulation)
 
-
-@pytest.fixture(scope="session")
-def large_store(large_simulation) -> AuditStore:
-    return build_store(large_simulation)

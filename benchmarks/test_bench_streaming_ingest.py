@@ -15,6 +15,7 @@ The streaming subsystem claims two things worth measuring:
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -72,8 +73,15 @@ def streamed_service(stream_records):
 def _query_pair(streamed_service):
     service, watermark = streamed_service
     standing = service.hunts[0]
-    windowed = service._monitor._windowed_query(standing, watermark)
-    assert windowed is not standing.query, "watermark windowing must have applied"
+    overrides = service._monitor._window_overrides(standing, watermark)
+    assert overrides, "watermark windowing must have applied"
+    windowed = replace(
+        standing.query,
+        patterns=[
+            replace(pattern, window=overrides.get(pattern.event_id, pattern.window))
+            for pattern in standing.query.patterns
+        ],
+    )
     return service.raptor, windowed, standing.query
 
 

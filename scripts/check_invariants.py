@@ -18,10 +18,12 @@ know about:
 * **No mutable default arguments** (repo-wide) — a ``def f(x=[])`` style
   default is shared across calls and has produced real state-bleed bugs in
   exactly the kind of long-lived service this repo builds.
-* **No test oracle in the product** (repo-wide) — nothing under
-  ``src/repro/`` imports ``sqlite3`` or anything from ``tests``: the sqlite
-  store, the row-dict executor and the DFS matcher are reference
-  implementations that live with the tests and must not drift back.
+* **Import boundaries** (repo-wide) — nothing under ``src/repro/`` imports
+  ``sqlite3`` or anything from ``tests``: the sqlite store, the row-dict
+  executor and the DFS matcher are reference implementations that live with
+  the tests and must not drift back.  And nothing outside ``repro/tbql/``
+  imports ``repro.tbql.compiler``: storage, streaming, intel and core reach
+  data queries only through ``PreparedQuery``.
 
 Exit status: 0 when clean, 1 with one ``file:line: message`` per violation
 otherwise.  Run as ``python scripts/check_invariants.py`` from the repo root.
@@ -55,8 +57,16 @@ _WALL_CLOCK_CALLS = {
 _GLOBAL_RANDOM_MODULE = "random"
 _ALLOWED_RANDOM_ATTRS = {"Random", "SystemRandom"}
 
-#: Top-level modules only the test oracles may import.
-_ORACLE_ONLY_MODULES = {"sqlite3", "tests"}
+#: Module -> (directory under ``src/repro/`` that may import it, or ``None``
+#: for nowhere in the product; why).
+_IMPORT_BOUNDARIES: dict[str, tuple[str | None, str]] = {
+    "sqlite3": (None, "test oracles stay under tests/, out of the product"),
+    "tests": (None, "test oracles stay under tests/, out of the product"),
+    "repro.tbql.compiler": (
+        "tbql/",
+        "only repro.tbql compiles patterns; everything else goes through PreparedQuery",
+    ),
+}
 
 _MUTABLE_DEFAULT_NODES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 
@@ -172,25 +182,27 @@ def check_mutable_defaults(path: Path, tree: ast.Module) -> list[Violation]:
     return violations
 
 
-def check_no_oracle_imports(path: Path, tree: ast.Module) -> list[Violation]:
-    """No ``sqlite3`` and no ``tests`` import anywhere in the product."""
+def check_import_boundaries(path: Path, tree: ast.Module, relative: str = "") -> list[Violation]:
+    """No import that crosses a boundary in ``_IMPORT_BOUNDARIES``.
+
+    ``relative`` is the file's posix path under ``src/repro/``.
+    """
     violations: list[Violation] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module or ""]
+            # ``from repro.tbql import compiler`` names the module in the alias.
+            modules = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        for module in modules:
-            if module.split(".")[0] in _ORACLE_ONLY_MODULES:
+        for bounded, (allowed_in, reason) in _IMPORT_BOUNDARIES.items():
+            if allowed_in is not None and relative.startswith(allowed_in):
+                continue
+            crossing = [m for m in modules if m == bounded or m.startswith(bounded + ".")]
+            if crossing:
                 violations.append(
-                    Violation(
-                        path,
-                        node.lineno,
-                        f"import of {module!r}: test oracles stay under tests/, "
-                        "out of the product",
-                    )
+                    Violation(path, node.lineno, f"import of {crossing[0]!r}: {reason}")
                 )
     return violations
 
@@ -204,7 +216,7 @@ def run() -> int:
             violations.extend(check_determinism(path, tree))
         violations.extend(check_fsync_before_replace(path, tree))
         violations.extend(check_mutable_defaults(path, tree))
-        violations.extend(check_no_oracle_imports(path, tree))
+        violations.extend(check_import_boundaries(path, tree, relative))
     for violation in violations:
         print(violation.render())
     if violations:

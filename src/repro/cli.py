@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hunt.add_argument("log", help="path of the Sysdig-format audit log to search")
     hunt.add_argument(
         "--backend",
-        choices=("auto", "relational", "graph"),
+        choices=("auto", "graph"),
         default="auto",
         help="query execution backend (default: auto)",
     )
@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--backend",
-        choices=("auto", "relational", "graph"),
+        choices=("auto", "graph"),
         default="auto",
         help="query execution backend for the standing hunt (default: auto)",
     )
@@ -195,12 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="diagnostic output format (default: text)",
-    )
-    lint.add_argument(
-        "--backend",
-        choices=("auto", "relational", "graph"),
-        default="auto",
-        help="execution backend the queries are checked against (default: auto)",
     )
     lint.add_argument(
         "--log",
@@ -467,7 +461,7 @@ def _command_lint(args: argparse.Namespace) -> int:
         raptor = ThreatRaptor()
         raptor.load_log_file(args.log)
         store = raptor.store
-    analyzer = StaticAnalyzer(store=store, backend=args.backend)
+    analyzer = StaticAnalyzer(store=store)
 
     exit_code = 0
     payload = []

@@ -24,8 +24,8 @@ class ThreatRaptorConfig:
         synthesis_path_max_length: Maximum path length for synthesized path
             patterns.
         execution_backend: ``"auto"`` (event patterns on the relational
-            store, path patterns on the graph store), ``"relational"`` or
-            ``"graph"``.
+            store, path patterns on the graph store) or ``"graph"``
+            (every pattern on the graph store).
         optimize_execution: Use pruning-score scheduling with constraint
             propagation.
         analysis_mode: Static-analysis admission gate — ``"enforce"`` (error
@@ -59,9 +59,9 @@ class ThreatRaptorConfig:
         Raises:
             ConfigurationError: when a setting is out of range.
         """
-        if self.execution_backend not in ("auto", "relational", "graph"):
+        if self.execution_backend not in ("auto", "graph"):
             raise ConfigurationError(
-                f"execution_backend must be 'auto', 'relational' or 'graph', "
+                f"execution_backend must be 'auto' or 'graph', "
                 f"got {self.execution_backend!r}"
             )
         if self.analysis_mode not in ("enforce", "warn", "off"):

@@ -32,7 +32,8 @@ class EngineConfiguration:
 
     The axes mirror the repo's execution machinery:
 
-    * ``backend`` — relational tables vs. graph path search;
+    * ``backend`` — ``"auto"`` (event patterns on the relational tables, the
+      rows named ``relational-*``) vs. ``"graph"`` (everything a path search);
     * ``streaming`` — one-shot batch load with ad-hoc ``execute`` vs.
       micro-batched replay through watermark-windowed standing hunts
       (re-executed from one cached ``PreparedQuery``);
@@ -45,7 +46,7 @@ class EngineConfiguration:
     """
 
     name: str
-    backend: str = "relational"
+    backend: str = "auto"
     streaming: bool = False
     crash_resume: bool = False
     storage: str = "memory"

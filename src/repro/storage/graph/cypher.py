@@ -3,10 +3,11 @@
 For a variable-length event path pattern, ThreatRaptor "compiles it into a
 Cypher data query by leveraging Cypher's path pattern syntax".  This module
 renders :class:`~repro.storage.graph.pattern.PathPattern` objects as Cypher
-``MATCH`` statements.  As with the SQL renderer, the text is used for the
-CLI's ``--show-cypher`` output and for the query-conciseness experiment
-(EXP-SYNTH); execution itself goes through
-:class:`~repro.storage.graph.planner.CostGuidedPathMatcher`.
+``MATCH`` statements.  Nothing executes the text, and it shows the structural
+part of a pattern only (labels, final-hop type, hop range, window — not the
+attribute or operation-set predicates): it is rendered on demand for the
+query-conciseness experiment (EXP-SYNTH) and the tests, while execution goes
+through :class:`~repro.storage.graph.planner.CostGuidedPathMatcher`.
 """
 
 from __future__ import annotations
@@ -80,7 +81,3 @@ def render_path_pattern(
     clauses.append("RETURN " + ", ".join(return_items))
     return separator.join(clauses) + ";"
 
-
-def count_query_lines(cypher_text: str) -> int:
-    """Count non-blank lines of a rendered Cypher query (for EXP-SYNTH)."""
-    return sum(1 for line in cypher_text.splitlines() if line.strip())

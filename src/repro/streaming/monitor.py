@@ -1,8 +1,10 @@
 """Standing TBQL queries, re-evaluated incrementally per micro-batch.
 
-A registered hunt keeps its synthesized TBQL query *standing*: after every
-ingested micro-batch the query is re-executed and any **new** matches are
-turned into alerts.  Two mechanisms keep that cheap and exact:
+A registered hunt keeps its synthesized TBQL query *standing*: it is prepared
+once at registration (a :class:`~repro.tbql.prepared.PreparedQuery` — there is
+no other evaluation path), after every ingested micro-batch that prepared
+query is re-executed, and any **new** matches are turned into alerts.  Two
+mechanisms keep that cheap and exact:
 
 * **Watermark windowing** — because ingestion appends events in time order,
   every match that is new in a batch must bind at least one newly stored
@@ -10,7 +12,8 @@ turned into alerts.  Two mechanisms keep that cheap and exact:
   unique final pattern (the *temporal sink*, e.g. ``evt8`` in the Figure 2
   query), that sink's event must itself start at or after the batch's
   watermark.  The monitor therefore narrows the sink pattern to the window
-  ``[watermark, ∞)``, so each re-evaluation scans only new data and constrains
+  ``[watermark, ∞)`` (a per-execution ``window_overrides`` entry, not a
+  rebuilt AST), so each re-evaluation scans only new data and constrains
   the remaining patterns from it, instead of re-running the query over the
   whole store.
 * **Alert deduplication** — matches are identified by the set of audit event
@@ -34,18 +37,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.auditing.entities import DEFAULT_ATTRIBUTE, EntityType
+from repro.errors import ExecutionError, TBQLAnalysisError
 from repro.streaming.alerts import Alert
+from repro.tbql.analysis.diagnostics import AnalysisReport
+from repro.tbql.analysis.structure import temporal_sink
 from repro.tbql.ast import Query, TimeWindow
 from repro.tbql.formatter import format_query
 from repro.tbql.parser import parse_query
-from repro.tbql.result import TBQLResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tbql.analysis.diagnostics import AnalysisReport
     from repro.tbql.prepared import PreparedQuery
 
 #: Upper bound used for open-ended watermark windows.
@@ -63,16 +66,15 @@ class StandingQuery:
     #: ``None`` when the query has no unique temporally-final pattern — such
     #: hunts fall back to full re-evaluation plus deduplication.
     sink_event_id: str | None = None
-    #: The query's prepared form (analysis + schedule + compiled per-pattern
-    #: plans, derived once at registration).  ``None`` when the monitor was
-    #: constructed without a ``prepare`` callable; such hunts re-derive the
-    #: windowed query per batch.
+    #: The query's prepared form (analysis + schedule + per-pattern compiled
+    #: templates), derived once at registration.  ``None`` only for a hunt
+    #: the static-analysis gate rejected at registration.
     prepared: "PreparedQuery | None" = None
-    #: Static-analysis report from registration, when the monitor was built
-    #: with an ``analyze`` callable.  A report carrying error diagnostics
-    #: quarantines the hunt at registration time (instead of letting an
-    #: unsatisfiable or non-portable query fail on every batch).
-    analysis: "AnalysisReport | None" = None
+    #: Static-analysis findings from registration: ``prepared.analysis`` for
+    #: an admitted hunt (``None`` under ``analysis_mode="off"``), the error
+    #: diagnostics the gate raised for a rejected one — which is registered
+    #: quarantined instead of failing on every batch.
+    analysis: AnalysisReport | None = None
     #: Ids of the OSCTI reports this hunt stands for (corpus provenance);
     #: stamped onto every raised alert.  Grows when later corpus passes dedup
     #: an equivalent report onto this hunt.
@@ -184,37 +186,30 @@ class QueryMonitor:
     """Evaluates standing queries against the store after each batch.
 
     Args:
-        execute: Query execution callable, typically
-            :meth:`ThreatRaptor.execute_query` or an engine's ``execute``.
-        prepare: Optional query preparation callable (typically
-            :meth:`ThreatRaptor.prepare_query`).  When given, every registered
-            hunt is prepared once and each batch executes the cached plans
-            with only the watermark window swapped in, instead of re-deriving
-            analysis/schedule/compilation per micro-batch.
+        prepare: Query preparation callable (typically
+            :meth:`ThreatRaptor.prepare_query`).  Every registered hunt is
+            prepared once; each batch executes the prepared query with only
+            the watermark window swapped in.
         quarantine_after: Consecutive evaluation failures after which a hunt
             is quarantined (skipped) instead of crashing the service on every
             batch.  A failing evaluation never propagates; it is counted on
             the hunt and surfaced through ``statistics()``.
-        analyze: Optional static-analysis callable (typically
-            :meth:`ThreatRaptor.analyze_query`).  When given, every query is
-            analyzed at registration; a query with error-severity diagnostics
-            is registered **quarantined** — it stays visible (name,
-            provenance, diagnostics) but is never evaluated, reusing the same
-            status machinery as runtime failures.
+
+    A query the static-analysis gate rejects (``prepare`` raises
+    :class:`~repro.errors.TBQLAnalysisError`, i.e. error diagnostics under
+    ``analysis_mode="enforce"``) is registered **quarantined**: it stays
+    visible (name, provenance, diagnostics) but is never evaluated, reusing
+    the same status machinery as runtime failures.
     """
 
     def __init__(
         self,
-        execute: Callable[[Query], TBQLResult],
-        prepare: "Callable[[Query], PreparedQuery] | None" = None,
+        prepare: "Callable[..., PreparedQuery]",
         quarantine_after: int = 3,
-        analyze: "Callable[[Query], AnalysisReport] | None" = None,
     ) -> None:
         if quarantine_after < 1:
             raise ValueError("quarantine_after must be at least 1")
-        self._execute = execute
         self._prepare = prepare
-        self._analyze = analyze
         self._quarantine_after = quarantine_after
         self._queries: dict[str, StandingQuery] = {}
         #: canonical key -> hunt name, for O(1) corpus dedup routing.  The
@@ -246,50 +241,38 @@ class QueryMonitor:
         if name in self._queries:
             raise ValueError(f"a standing query named {name!r} is already registered")
         ast = parse_query(query) if isinstance(query, str) else query
-        analysis = self._analyze(ast) if self._analyze is not None else None
-        if analysis is not None and analysis.has_errors():
-            # Lint-rejected: register quarantined, never prepare or evaluate.
-            # The hunt stays visible with its provenance and diagnostics so
-            # operators can see *why* it will never fire.
-            summary = "; ".join(
-                f"[{diagnostic.rule}] {diagnostic.message}"
-                for diagnostic in analysis.errors
-            )
-            standing = StandingQuery(
-                name=name,
-                query=ast,
-                query_text=format_query(ast),
-                sink_event_id=None,
-                prepared=None,
-                analysis=analysis,
-                provenance=tuple(provenance),
-                canonical_key=canonical_key,
-                errors=1,
-                last_error=f"static analysis: {summary}",
-                quarantined=True,
-            )
-            self._queries[name] = standing
-            if canonical_key is not None:
-                self._names_by_canonical.setdefault(canonical_key, name)
-            return standing
-        sink_event_id = self._temporal_sink(ast)
-        prepared = None
-        if self._prepare is not None:
+        sink_event_id = temporal_sink(ast)
+        prepared: PreparedQuery | None = None
+        rejection: str | None = None
+        try:
             # The sink pattern is hinted as windowed so the prepared schedule
-            # matches what per-batch re-scheduling of the watermark-narrowed
-            # query would produce (the windowed sink runs first and constrains
-            # the remaining patterns).
+            # matches what scheduling the watermark-narrowed query would
+            # produce (the windowed sink runs first and constrains the rest).
             hints = (sink_event_id,) if sink_event_id is not None else ()
             prepared = self._prepare(ast, window_hints=hints)
+            analysis = prepared.analysis
+        except TBQLAnalysisError as exc:
+            # Lint-rejected: register quarantined, never evaluate.  The hunt
+            # stays visible with its provenance and diagnostics so operators
+            # can see *why* it will never fire.
+            analysis = AnalysisReport(diagnostics=tuple(exc.diagnostics))
+            rejection = "static analysis: " + "; ".join(
+                f"[{diagnostic.rule}] {diagnostic.message}" for diagnostic in exc.diagnostics
+            )
         standing = StandingQuery(
             name=name,
             query=ast,
+            # Rendered after ``prepare``: its semantic analysis normalizes the
+            # AST in place, and this text is what checkpoints persist.
             query_text=format_query(ast),
-            sink_event_id=sink_event_id,
+            sink_event_id=sink_event_id if prepared is not None else None,
             prepared=prepared,
             analysis=analysis,
             provenance=tuple(provenance),
             canonical_key=canonical_key,
+            errors=int(rejection is not None),
+            last_error=rejection,
+            quarantined=rejection is not None,
         )
         self._queries[name] = standing
         if canonical_key is not None:
@@ -407,12 +390,10 @@ class QueryMonitor:
         # the hunt was registered would otherwise never be matched.
         started = time.perf_counter()
         try:
-            if standing.prepared is not None:
-                overrides = self._window_overrides(standing, watermark_start_ns)
-                result = standing.prepared.execute(window_overrides=overrides)
-            else:
-                windowed = self._windowed_query(standing, watermark_start_ns)
-                result = self._execute(windowed)
+            if standing.prepared is None:  # reinstated, but never admitted
+                raise ExecutionError(standing.last_error or "hunt was never prepared")
+            overrides = self._window_overrides(standing, watermark_start_ns)
+            result = standing.prepared.execute(window_overrides=overrides)
         except Exception as exc:  # noqa: BLE001 - one bad hunt must not kill the service
             standing.eval_seconds += time.perf_counter() - started
             standing.evaluations += 1
@@ -446,8 +427,9 @@ class QueryMonitor:
     ) -> dict[str, TimeWindow] | None:
         """Watermark window for the sink pattern, as prepared-query overrides.
 
-        Same narrowing policy as :meth:`_windowed_query`, expressed as a
-        per-execution parameter instead of a rebuilt AST.
+        The first evaluation, a missing watermark and a hunt without a
+        temporal sink all run unwindowed; a declared window is intersected
+        with ``[watermark, ∞)``, never widened.
         """
         if (
             watermark_start_ns is None
@@ -460,42 +442,6 @@ class QueryMonitor:
         start = watermark_start_ns if window is None else max(window.start, watermark_start_ns)
         end = MAX_TIME_NS if window is None else window.end
         return {standing.sink_event_id: TimeWindow(start=start, end=end)}
-
-    def _windowed_query(
-        self, standing: StandingQuery, watermark_start_ns: int | None
-    ) -> Query:
-        """The query to actually run: sink narrowed to new data when possible."""
-        if (
-            watermark_start_ns is None
-            or not standing._initialized
-            or standing.sink_event_id is None
-        ):
-            return standing.query
-        patterns = []
-        for pattern in standing.query.patterns:
-            if pattern.event_id == standing.sink_event_id:
-                window = pattern.window
-                start = watermark_start_ns if window is None else max(window.start, watermark_start_ns)
-                end = MAX_TIME_NS if window is None else window.end
-                pattern = replace(pattern, window=TimeWindow(start=start, end=end))
-            patterns.append(pattern)
-        return replace(standing.query, patterns=patterns)
-
-    @staticmethod
-    def _temporal_sink(query: Query) -> str | None:
-        """The unique temporally-final pattern every other pattern precedes.
-
-        Windowing is only sound when *every* pattern is ordered before the
-        sink: then any match containing a new event has a sink event at least
-        as recent, so restricting the sink to ``[watermark, ∞)`` cannot drop a
-        new match.  The actual derivation lives in
-        :func:`repro.tbql.analysis.structure.temporal_sink`, shared with the
-        static analyzer's cost pass (TR301 warns exactly when this returns
-        ``None`` for an unwindowed multi-pattern query).
-        """
-        from repro.tbql.analysis.structure import temporal_sink
-
-        return temporal_sink(query)
 
     @staticmethod
     def _signature(binding: dict[str, dict[str, Any]]) -> tuple[int, ...]:

@@ -4,8 +4,10 @@
 continuously running monitor.  It owns a
 :class:`~repro.streaming.ingest.StreamIngestor` appending micro-batches into
 the shared audit store and a :class:`~repro.streaming.monitor.QueryMonitor`
-re-evaluating every registered hunt after each batch, dispatching new matches
-to the configured alert sinks.
+built over ``raptor.prepare_query`` — every registered hunt is prepared once
+(a query the static-analysis gate rejects registers quarantined) and
+re-executed after each batch, dispatching new matches to the configured alert
+sinks.
 
 Typical usage::
 
@@ -76,19 +78,7 @@ class HuntingService:
         self._raptor = raptor
         self._batch_size = batch_size
         self._ingestor = StreamIngestor(raptor.store, batch_size=batch_size)
-        self._monitor = QueryMonitor(
-            raptor.execute_query,
-            prepare=raptor.prepare_query,
-            quarantine_after=quarantine_after,
-            # Under the enforcing analysis gate, lint-rejected queries must be
-            # quarantined at registration — preparing them would raise.  In
-            # "warn"/"off" modes the monitor registers everything unchecked.
-            analyze=(
-                raptor.analyze_query
-                if raptor.config.analysis_mode == "enforce"
-                else None
-            ),
-        )
+        self._monitor = QueryMonitor(raptor.prepare_query, quarantine_after=quarantine_after)
         self._sinks: list[AlertSink] = list(sinks)
         self._checkpoint_store = checkpoint_store
         self._journal = journal

@@ -10,8 +10,8 @@ and plan preparation / hunt registration:
 * :mod:`~repro.tbql.analysis.cost` — shapes that execute badly, judged
   against the backends' index statistics;
 * :mod:`~repro.tbql.analysis.portability` — constructs that cannot lower to
-  one of the backends, found by statically compiling through the real
-  SQL/Cypher compilers.
+  one of the backends, found by compiling each pattern through the functions
+  execution uses (:mod:`repro.tbql.compiler`).
 
 See the README's "Static analysis & linting" section for the rule catalog.
 """

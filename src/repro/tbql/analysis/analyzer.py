@@ -29,8 +29,6 @@ from repro.tbql.analysis.diagnostics import (
 from repro.tbql.analysis.portability import PortabilityPass
 from repro.tbql.analysis.satisfiability import SatisfiabilityPass
 from repro.tbql.ast import Query
-from repro.tbql.compiler.cypher_compiler import CypherCompiler
-from repro.tbql.compiler.sql_compiler import SQLCompiler
 from repro.tbql.formatter import format_query
 from repro.tbql.parser import parse_query
 from repro.tbql.semantics import AnalyzedQuery, SemanticAnalyzer
@@ -43,7 +41,6 @@ class AnalysisContext:
     query: Query
     analyzed: AnalyzedQuery
     policy: AnalysisPolicy
-    backend: str = "auto"
     #: Combined backend statistics (``AuditStore.statistics()`` shape), or
     #: ``None`` when analyzing without a store — stats-backed rules skip then.
     statistics: Mapping[str, Any] | None = None
@@ -69,13 +66,8 @@ class StaticAnalyzer:
         store: Optional :class:`~repro.storage.loader.AuditStore` whose index
             statistics feed the cost pass; rules needing statistics are
             skipped without one.
-        backend: The execution backend the query will run on (``"auto"``,
-            ``"relational"`` or ``"graph"``) — decides whether graph-only
-            limitations are errors or portability warnings.
         policy: Severity/threshold policy; :meth:`AnalysisPolicy.default`
             when omitted.
-        sql_compiler / cypher_compiler: Compiler overrides for the
-            portability pass (tests inject failing compilers here).
 
     Reports are memoized per (formatted query text, store event count):
     the admission gate analyzes the same query at corpus registration, at
@@ -90,13 +82,9 @@ class StaticAnalyzer:
     def __init__(
         self,
         store: Any = None,
-        backend: str = "auto",
         policy: AnalysisPolicy | None = None,
-        sql_compiler: SQLCompiler | None = None,
-        cypher_compiler: CypherCompiler | None = None,
     ) -> None:
         self._store = store
-        self._backend = backend
         self.policy = policy or AnalysisPolicy.default()
         self._semantics = SemanticAnalyzer()
         self._cache: dict[tuple[str, Any], AnalysisReport] = {}
@@ -104,7 +92,7 @@ class StaticAnalyzer:
             SatisfiabilityPass(),
             DeadCodePass(),
             CostPass(),
-            PortabilityPass(sql_compiler=sql_compiler, cypher_compiler=cypher_compiler),
+            PortabilityPass(),
         )
 
     def _store_token(self) -> Any:
@@ -141,7 +129,6 @@ class StaticAnalyzer:
             query=ast,
             analyzed=analyzed,
             policy=self.policy,
-            backend=self._backend,
             statistics=store_statistics(self._store),
         )
         raw: list[Diagnostic] = []
@@ -169,8 +156,7 @@ class StaticAnalyzer:
 def analyze_query(
     query: Query | str,
     store: Any = None,
-    backend: str = "auto",
     policy: AnalysisPolicy | None = None,
 ) -> AnalysisReport:
     """Module-level convenience wrapper around :class:`StaticAnalyzer`."""
-    return StaticAnalyzer(store=store, backend=backend, policy=policy).analyze(query)
+    return StaticAnalyzer(store=store, policy=policy).analyze(query)

@@ -70,7 +70,6 @@ RULES: dict[str, RuleSpec] = {
         RuleSpec("TR304", Severity.WARNING, "unselective full scan", "cost"),
         # -- pass 4: cross-backend portability (TR4xx) ---------------------------
         RuleSpec("TR401", Severity.INFO, "pattern cannot lower to SQL", "portability"),
-        RuleSpec("TR402", Severity.ERROR, "negation unsupported on graph backend", "portability"),
         RuleSpec("TR403", Severity.ERROR, "pattern fails to compile", "portability"),
     )
 }

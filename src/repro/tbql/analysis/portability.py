@@ -1,66 +1,36 @@
-"""Pass 4 — cross-backend portability via the static compilers.
+"""Pass 4 — cross-backend portability via the pattern compilers.
 
-Every pattern is compiled through the same compilers execution uses —
-:class:`~repro.tbql.compiler.sql_compiler.SQLCompiler` for the relational
-backend and :class:`~repro.tbql.compiler.cypher_compiler.CypherCompiler` for
-the graph backend — without executing anything.  Constructs that cannot lower
-are diagnosed *before* a hunt is admitted instead of failing (or silently
-changing meaning) mid-execution:
+Every pattern is compiled through the same functions execution uses
+(:mod:`repro.tbql.compiler`: ``compile_select`` for the relational backend,
+``build_path_pattern`` for the graph backend) without executing anything.
+Constructs that cannot lower are diagnosed *before* a hunt is admitted instead
+of failing mid-execution:
 
 * path patterns have no SQL lowering (TR401, informational — the paper's
   design routes them to the graph backend);
-* the Cypher compiler's edge patterns carry no negation, so a ``not`` in the
-  operation is silently dropped on the graph backend.  That is an error for
-  any pattern that *will* route there (path patterns always; event patterns
-  under ``backend="graph"``) and a portability warning otherwise (TR402);
-* any compiler exception is surfaced as TR403 with the pattern's span.
+* any compile exception is surfaced as TR403 with the pattern's span.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from repro.tbql.ast import EventPattern, PathPattern
 from repro.tbql.analysis.diagnostics import Diagnostic, Severity
-from repro.tbql.formatter import format_pattern
-from repro.tbql.compiler.cypher_compiler import CypherCompiler
-from repro.tbql.compiler.sql_compiler import SQLCompiler
+from repro.tbql.ast import PathPattern, Pattern
+from repro.tbql.compiler import build_path_pattern, compile_select
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tbql.analysis.analyzer import AnalysisContext
 
 
 class PortabilityPass:
-    """Emits TR401–TR403.
-
-    The compilers are injectable so tests can drive the TR403 path with a
-    deliberately failing compiler.
-
-    Successful compilations are memoized per (backend, formatted pattern):
-    corpus variants share most of their patterns, and a pattern that
-    compiled once compiles again.  Only successes are cached — a success
-    produces no diagnostic, so sharing it across queries can never serve a
-    diagnostic with another source's span, while TR403 failures always
-    re-compile and carry the failing pattern's own span.
-    """
+    """Emits TR401 and TR403."""
 
     name = "portability"
-
-    _OK_CACHE_LIMIT = 512
-
-    def __init__(
-        self,
-        sql_compiler: SQLCompiler | None = None,
-        cypher_compiler: CypherCompiler | None = None,
-    ) -> None:
-        self._sql = sql_compiler or SQLCompiler()
-        self._cypher = cypher_compiler or CypherCompiler()
-        self._compiles_ok: set[tuple[str, str]] = set()
 
     def run(self, context: "AnalysisContext") -> list[Diagnostic]:
         diagnostics: list[Diagnostic] = []
         for pattern in context.query.patterns:
-            routes_to_graph = isinstance(pattern, PathPattern) or context.backend == "graph"
             if isinstance(pattern, PathPattern):
                 diagnostics.append(
                     Diagnostic(
@@ -75,54 +45,17 @@ class PortabilityPass:
                         hint="use a single-hop event pattern for SQL portability",
                     )
                 )
-            if pattern.operation.negated:
-                diagnostics.append(
-                    Diagnostic(
-                        rule="TR402",
-                        severity=Severity.ERROR if routes_to_graph else Severity.WARNING,
-                        message=(
-                            f"pattern {pattern.event_id!r} negates its operation, "
-                            "which the graph backend's edge patterns do not support "
-                            + (
-                                "and this pattern executes there"
-                                if routes_to_graph
-                                else "(the relational backend handles it)"
-                            )
-                        ),
-                        span=pattern.operation.span,
-                        event_id=pattern.event_id,
-                        hint="enumerate the allowed operations instead of negating",
-                    )
-                )
-            diagnostics.extend(self._compile_checks(pattern))
+            else:
+                diagnostics.extend(self._try_compile("SQL", pattern, compile_select))
+            diagnostics.extend(self._try_compile("Cypher", pattern, build_path_pattern))
         return diagnostics
 
-    def _compile_checks(self, pattern: EventPattern | PathPattern) -> list[Diagnostic]:
-        text = format_pattern(pattern)
-        diagnostics: list[Diagnostic] = []
-        if isinstance(pattern, EventPattern):
-            diagnostics.extend(
-                self._try_compile("SQL", text, pattern, lambda: self._sql.compile(pattern))
-            )
-            diagnostics.extend(
-                self._try_compile(
-                    "Cypher", text, pattern, lambda: self._cypher.compile_event(pattern)
-                )
-            )
-        else:
-            diagnostics.extend(
-                self._try_compile(
-                    "Cypher", text, pattern, lambda: self._cypher.compile_path(pattern)
-                )
-            )
-        return diagnostics
-
-    def _try_compile(self, backend: str, text: str, pattern, compile_call) -> list[Diagnostic]:
-        key = (backend, text)
-        if key in self._compiles_ok:
-            return []
+    @staticmethod
+    def _try_compile(
+        backend: str, pattern: Pattern, compile_pattern: Callable[..., object]
+    ) -> list[Diagnostic]:
         try:
-            compile_call()
+            compile_pattern(pattern)
         except Exception as exc:
             return [
                 Diagnostic(
@@ -137,7 +70,4 @@ class PortabilityPass:
                     hint="the pattern would fail at execution time",
                 )
             ]
-        if len(self._compiles_ok) >= self._OK_CACHE_LIMIT:
-            self._compiles_ok.clear()
-        self._compiles_ok.add(key)
         return []

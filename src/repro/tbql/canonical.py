@@ -21,9 +21,8 @@ chain, so two reports describing the steps in a different order are *not*
 equivalent.
 
 :func:`canonical_query_key` renders the canonical form to text and appends
-each pattern's ``(pattern, constraint shape)`` plan-cache key (reused from
-:mod:`repro.tbql.prepared`), yielding one string under which semantically
-equivalent queries collide — and therefore share one
+one ``event id, has window`` line per pattern, yielding one string under
+which semantically equivalent queries collide — and therefore share one
 :class:`~repro.tbql.prepared.PreparedQuery` and one standing hunt.
 """
 
@@ -44,7 +43,6 @@ from repro.tbql.ast import (
 )
 from repro.tbql.filters import _is_wildcard
 from repro.tbql.formatter import format_query
-from repro.tbql.prepared import pattern_constraint_shape
 
 #: Identifier prefixes per entity type, matching the synthesizer's convention.
 _IDENTIFIER_PREFIX = {
@@ -189,14 +187,16 @@ def canonicalize_query(query: Query) -> Query:
 def render_canonical_key(canonical: Query) -> str:
     """The dedup key for an *already canonical* query.
 
-    The key is the canonical form rendered to TBQL text, plus each pattern's
-    ``(pattern, constraint shape)`` plan-cache key from
-    :func:`repro.tbql.prepared.pattern_constraint_shape`.  Callers that hold
-    the canonical form (the corpus planner registers it) use this directly so
-    the AST rewrite runs once, not twice.
+    The key is the canonical form rendered to TBQL text, plus per pattern its
+    event id and whether it declares a time window.  Keys are persisted in
+    checkpoints, so the format is frozen — including the constant
+    ``False,False`` (no subject / object id constraints) left over from the
+    plan-cache key this line used to share.  Callers that hold the canonical
+    form (the corpus planner registers it) use this directly so the AST
+    rewrite runs once, not twice.
     """
     shapes = ";".join(
-        ",".join(str(part) for part in pattern_constraint_shape(pattern, pattern.window))
+        f"{pattern.event_id},{pattern.window is not None},False,False"
         for pattern in canonical.patterns
     )
     return f"{format_query(canonical)}\n-- shapes: {shapes}"

@@ -15,7 +15,7 @@ it owns the semantic analysis, the schedule and the per-pattern data queries,
 and is the one place where time windows and entity-id constraints are
 attached to them.  :meth:`TBQLExecutionEngine.execute` builds one per call; a
 standing query is **prepared** once (:meth:`TBQLExecutionEngine.prepare`) and
-re-executed per micro-batch from its cached plans.
+re-executed per micro-batch from its compiled templates.
 
 Relational pattern matches become **zero-copy bindings**: each result row
 stays one tuple, and the subject/object/event "dicts" of a binding are
@@ -40,7 +40,7 @@ from repro.tbql.ast import EventPattern, Pattern, PathPattern, Query, FilterOper
 from repro.tbql.parser import parse_query
 from repro.tbql.prepared import PreparedQuery
 from repro.tbql.result import TBQLResult
-from repro.tbql.scheduler import ExecutionScheduler, ScheduledPattern
+from repro.tbql.scheduler import ExecutionScheduler
 from repro.tbql.semantics import AnalyzedQuery, SemanticAnalyzer
 
 #: A variable binding: entity identifier -> entity mapping, plus one event
@@ -100,11 +100,9 @@ class TBQLExecutionEngine:
     Args:
         store: The combined relational + graph audit store to query.
         backend: ``"auto"`` (event patterns on the relational backend, path
-            patterns on the graph backend — the paper's design), ``"relational"``
-            (everything on the relational backend; path patterns still fall
-            back to the graph store), or ``"graph"`` (everything on the graph
-            backend).  The non-default modes exist for the backend-comparison
-            benchmarks and the differential harness.
+            patterns on the graph backend — the paper's design) or ``"graph"``
+            (everything on the graph backend; the differential harness and
+            the cross-backend parity tests run it against ``"auto"``).
         analysis_mode: ``"enforce"`` (static-analysis errors reject the query
             before execution/preparation — the default), ``"warn"`` (analysis
             runs, findings are reported, nothing gates) or ``"off"`` (no
@@ -120,7 +118,7 @@ class TBQLExecutionEngine:
         analysis_mode: str = "enforce",
         analysis_policy: AnalysisPolicy | None = None,
     ) -> None:
-        if backend not in ("auto", "relational", "graph"):
+        if backend not in ("auto", "graph"):
             raise ExecutionError(f"unknown backend {backend!r}")
         if analysis_mode not in ("enforce", "warn", "off"):
             raise ExecutionError(f"unknown analysis mode {analysis_mode!r}")
@@ -129,7 +127,7 @@ class TBQLExecutionEngine:
         self._scheduler = ExecutionScheduler()
         self._analyzer = SemanticAnalyzer()
         self.analysis_mode = analysis_mode
-        self._static = StaticAnalyzer(store=store, backend=backend, policy=analysis_policy)
+        self._static = StaticAnalyzer(store=store, policy=analysis_policy)
 
     # -- public API ------------------------------------------------------------
 
@@ -183,10 +181,10 @@ class TBQLExecutionEngine:
     ) -> PreparedQuery:
         """Parse/analyze/schedule ``query`` once for repeated execution.
 
-        The returned :class:`~repro.tbql.prepared.PreparedQuery` caches the
-        semantic analysis, the execution schedule and per-pattern compiled
-        data-query plans, so standing queries re-executed per micro-batch pay
-        only for execution.  ``window_hints`` names patterns that will receive
+        The returned :class:`~repro.tbql.prepared.PreparedQuery` holds the
+        semantic analysis, the execution schedule and each pattern's compiled
+        data-query template, so standing queries re-executed per micro-batch
+        pay only for execution.  ``window_hints`` names patterns that will receive
         per-execution window overrides, so scheduling can account for them.
         """
         ast = parse_query(query) if isinstance(query, str) else query
@@ -251,7 +249,9 @@ class TBQLExecutionEngine:
         for step in plans.schedule:
             constraints = {}
             if plans.optimize and combined is not None:
-                constraints = self._collect_constraints(step, combined, constraint_cache)
+                constraints = constraint_cache.constraints_for(
+                    step.constrained_identifiers, combined
+                )
             match_set = self._execute_pattern(
                 step.pattern, constraints, plans, window_overrides
             )
@@ -274,25 +274,6 @@ class TBQLExecutionEngine:
                 # result can never produce rows.
                 return []
         return combined or []
-
-    def _collect_constraints(
-        self,
-        step: ScheduledPattern,
-        bindings: list[Binding],
-        cache: _ConstraintCache | None = None,
-    ) -> dict[str, set[int]]:
-        if cache is not None:
-            return cache.constraints_for(step.constrained_identifiers, bindings)
-        constraints: dict[str, set[int]] = {}
-        for identifier in step.constrained_identifiers:
-            ids = {
-                int(binding[identifier]["id"])
-                for binding in bindings
-                if identifier in binding
-            }
-            if ids:
-                constraints[identifier] = ids
-        return constraints
 
     # -- per-pattern execution -------------------------------------------------------
 

@@ -181,12 +181,10 @@ def _record_campaign(campaign: GeneratedCampaign) -> list[RecordedQuery]:
         for hunt in campaign.hunts:
             assert service.matched_event_ids(hunt.name) == hunt.expected_event_ids
 
-    # TR402: the graph backend rejects negated operations.
-    on_graph = {name: text for name, text in probes.items() if name != "negated-op"}
     records: list[RecordedQuery] = []
     for backend, drive, queries in (
         ("auto", adhoc, {**hunts, **probes}),
-        ("graph", adhoc, {**hunts, **on_graph}),
+        ("graph", adhoc, {**hunts, **probes}),
         ("auto", streamed, {**hunts, "path": probes["path"]}),
     ):
         with pytest.MonkeyPatch.context() as patch:

@@ -40,7 +40,7 @@ def report(harness, campaigns):
 
 class TestConfigurationMatrix:
     def test_matrix_covers_every_axis_both_ways(self):
-        assert {config.backend for config in ENGINE_CONFIGURATIONS} == {"relational", "graph"}
+        assert {config.backend for config in ENGINE_CONFIGURATIONS} == {"auto", "graph"}
         assert {config.streaming for config in ENGINE_CONFIGURATIONS} == {True, False}
         assert {config.storage for config in ENGINE_CONFIGURATIONS} == {"memory", "segments"}
         assert {config.crash_resume for config in ENGINE_CONFIGURATIONS} == {True, False}

@@ -3,9 +3,9 @@
 Two independent oracles pin the new machinery down:
 
 * **cross-backend** — a randomized audit trace is loaded into the combined
-  store and the same TBQL queries are executed with ``backend="relational"``
-  and ``backend="graph"``; both must bind identical audit event-id sets and
-  identical result rows;
+  store and the same TBQL queries are executed with ``backend="auto"``
+  (event patterns on the relational tables) and ``backend="graph"``; both
+  must bind identical audit event-id sets and identical result rows;
 * **planner vs. DFS oracle** — randomized graph path patterns (direction,
   lengths, windows, id constraints) are matched with the cost-guided
   :class:`CostGuidedPathMatcher` and the always-forward DFS
@@ -86,6 +86,9 @@ _QUERIES = [
     "with e1 before e2 return p, h, f",
     'proc p["%bash%"] ~>(1~3)[write] file f as e return distinct p, f',
     'proc p ~>(2~4)[read] file f["%staging%"] as e return distinct p, f',
+    # Negated operations: a single hop, and the final hop of a path.
+    'proc p not read file f as e1 return p, f',
+    'proc p["%bash%"] ~>(1~3)[not write] file f as e return distinct p, f',
 ]
 
 
@@ -96,14 +99,14 @@ class _DfsMatcher(PathMatcher):
 
 
 class TestCrossBackendParity:
-    """backend="relational" and backend="graph" bind identical event sets."""
+    """backend="auto" and backend="graph" bind identical event sets."""
 
     @settings(max_examples=60, deadline=None)
     @given(_event_specs, st.sampled_from(_QUERIES))
     def test_backends_bind_identical_event_ids(self, specs, query):
         store = AuditStore(apply_reduction=False)
         store.load_trace(_build_trace(specs))
-        relational = TBQLExecutionEngine(store, backend="relational").execute(query)
+        relational = TBQLExecutionEngine(store, backend="auto").execute(query)
         graph = TBQLExecutionEngine(store, backend="graph").execute(query)
         assert {
             event_id: set(ids) for event_id, ids in relational.matched_event_ids.items()

@@ -11,8 +11,17 @@ from repro.tbql.parser import parse_query
 _QUERY = 'proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as e return p, f'
 
 
+class _NeverExecuted:
+    """A prepared-query stub: these tests only exercise registration."""
+
+    analysis = None
+
+    def execute(self, window_overrides=None):
+        pytest.fail("should not execute")
+
+
 def _monitor() -> QueryMonitor:
-    return QueryMonitor(execute=lambda query: pytest.fail("should not execute"))
+    return QueryMonitor(lambda query, window_hints=(): _NeverExecuted())
 
 
 class TestMonitorProvenance:

@@ -23,23 +23,33 @@ return p1, p2
 """
 
 
-def _noop_execute(query):  # pragma: no cover - only used for registration tests
-    raise AssertionError("not expected to execute")
+class _StubPrepared:
+    """What registration reads off a prepared query, for tests that never evaluate."""
+
+    analysis = None
+
+    def __init__(self, query, window_hints=()):
+        self.query = query
+        self.window_hints = window_hints
+
+
+def _stub_monitor() -> QueryMonitor:
+    return QueryMonitor(_StubPrepared)
 
 
 class TestTemporalSink:
     def test_chain_query_has_final_sink(self):
-        monitor = QueryMonitor(_noop_execute)
+        monitor = _stub_monitor()
         standing = monitor.register("chain", _CHAIN_QUERY)
         assert standing.sink_event_id == "evt3"
 
     def test_single_pattern_is_its_own_sink(self):
-        monitor = QueryMonitor(_noop_execute)
+        monitor = _stub_monitor()
         standing = monitor.register("single", 'proc p read file f as e return p, f')
         assert standing.sink_event_id == "e"
 
     def test_unordered_query_has_no_sink(self):
-        monitor = QueryMonitor(_noop_execute)
+        monitor = _stub_monitor()
         standing = monitor.register("unordered", _UNORDERED_QUERY)
         assert standing.sink_event_id is None
 
@@ -51,7 +61,7 @@ class TestTemporalSink:
         with evt1 before evt2
         return p1, p2, p3
         """
-        monitor = QueryMonitor(_noop_execute)
+        monitor = _stub_monitor()
         standing = monitor.register("partial", query)
         # evt2 and evt3 are both maximal: windowing would be unsound.
         assert standing.sink_event_id is None
@@ -59,54 +69,70 @@ class TestTemporalSink:
 
 class TestWindowing:
     def test_sink_pattern_gets_watermark_window(self):
-        monitor = QueryMonitor(_noop_execute)
+        monitor = _stub_monitor()
         standing = monitor.register("chain", _CHAIN_QUERY)
         standing._initialized = True
-        windowed = monitor._windowed_query(standing, 12345)
-        by_id = {pattern.event_id: pattern for pattern in windowed.patterns}
-        assert by_id["evt3"].window == TimeWindow(start=12345, end=MAX_TIME_NS)
-        assert by_id["evt1"].window is None
-        assert by_id["evt2"].window is None
+        overrides = monitor._window_overrides(standing, 12345)
+        # Only the sink is narrowed; evt1/evt2 keep their declared (absent) windows.
+        assert overrides == {"evt3": TimeWindow(start=12345, end=MAX_TIME_NS)}
 
     def test_existing_window_is_intersected(self):
         query = parse_query(
             'proc p["%tar%"] read file f["%passwd%"] as e during (100, 500) return p, f'
         )
-        monitor = QueryMonitor(_noop_execute)
+        monitor = _stub_monitor()
         standing = monitor.register("windowed", query)
         standing._initialized = True
-        narrowed = monitor._windowed_query(standing, 250)
-        assert narrowed.patterns[0].window == TimeWindow(start=250, end=500)
+        assert monitor._window_overrides(standing, 250) == {"e": TimeWindow(start=250, end=500)}
 
     def test_first_evaluation_is_unwindowed(self):
-        monitor = QueryMonitor(_noop_execute)
+        monitor = _stub_monitor()
         standing = monitor.register("chain", _CHAIN_QUERY)
-        assert monitor._windowed_query(standing, 12345) is standing.query
+        assert monitor._window_overrides(standing, 12345) is None
 
     def test_no_watermark_means_full_query(self):
-        monitor = QueryMonitor(_noop_execute)
+        monitor = _stub_monitor()
         standing = monitor.register("chain", _CHAIN_QUERY)
         standing._initialized = True
-        assert monitor._windowed_query(standing, None) is standing.query
+        assert monitor._window_overrides(standing, None) is None
+
+    def test_hunt_without_a_sink_is_never_windowed(self):
+        monitor = _stub_monitor()
+        standing = monitor.register("unordered", _UNORDERED_QUERY)
+        standing._initialized = True
+        assert monitor._window_overrides(standing, 12345) is None
 
 
 class TestRegistration:
     def test_duplicate_name_rejected(self):
-        monitor = QueryMonitor(_noop_execute)
+        monitor = _stub_monitor()
         monitor.register("chain", _CHAIN_QUERY)
         with pytest.raises(ValueError):
             monitor.register("chain", _CHAIN_QUERY)
 
     def test_unregister(self):
-        monitor = QueryMonitor(_noop_execute)
+        monitor = _stub_monitor()
         monitor.register("chain", _CHAIN_QUERY)
         monitor.unregister("chain")
         assert monitor.queries == []
 
-    def test_without_prepare_no_prepared_query(self):
-        monitor = QueryMonitor(_noop_execute)
-        standing = monitor.register("chain", _CHAIN_QUERY)
-        assert standing.prepared is None
+    def test_every_hunt_is_prepared_with_its_sink_hinted(self):
+        monitor = _stub_monitor()
+        chain = monitor.register("chain", _CHAIN_QUERY)
+        unordered = monitor.register("unordered", _UNORDERED_QUERY)
+        assert chain.prepared.window_hints == ("evt3",)
+        assert unordered.prepared.window_hints == ()
+
+    @pytest.mark.parametrize(
+        "arguments, keywords",
+        [
+            ((), {"execute": lambda query: None}),
+            ((_StubPrepared,), {"analyze": lambda query: None}),
+        ],
+    )
+    def test_removed_constructor_parameters_are_type_errors(self, arguments, keywords):
+        with pytest.raises(TypeError):
+            QueryMonitor(*arguments, **keywords)
 
 
 class TestPreparedStandingQueries:
@@ -128,13 +154,13 @@ class TestPreparedStandingQueries:
         from repro.tbql.executor import TBQLExecutionEngine
 
         engine = TBQLExecutionEngine(self._loaded_store())
-        monitor = QueryMonitor(engine.execute, prepare=engine.prepare)
+        monitor = QueryMonitor(engine.prepare)
         standing = monitor.register("chain", _CHAIN_QUERY)
         assert standing.prepared is not None
         # The temporal sink is hinted as windowed at prepare time.
         assert standing.prepared.window_hints == ("evt3",)
 
-    def test_prepared_and_unprepared_raise_identical_alerts(self):
+    def test_windowed_standing_evaluation_matches_adhoc_execution(self):
         from repro.tbql.executor import TBQLExecutionEngine
 
         hunt = """
@@ -143,45 +169,14 @@ class TestPreparedStandingQueries:
         with evt1 before evt2
         return p1, f1, f2
         """
-
-        def run(prepare: bool):
-            engine = TBQLExecutionEngine(self._loaded_store())
-            monitor = QueryMonitor(
-                engine.execute, prepare=engine.prepare if prepare else None
-            )
-            monitor.register("chain", hunt)
-            alerts = monitor.evaluate(0, None)  # initializing full pass
-            alerts += monitor.evaluate(1, 0)  # windowed steady-state pass
-            return sorted(alert.matched_event_ids for alert in alerts)
-
-        prepared_alerts = run(prepare=True)
-        assert prepared_alerts == run(prepare=False)
-        assert len(prepared_alerts) >= 1
-
-    def test_window_overrides_match_windowed_query_shape(self):
-        monitor = QueryMonitor(_noop_execute)
-        standing = monitor.register("chain", _CHAIN_QUERY)
-        standing._initialized = True
-        overrides = monitor._window_overrides(standing, 12345)
-        assert overrides == {"evt3": TimeWindow(start=12345, end=MAX_TIME_NS)}
-        windowed = monitor._windowed_query(standing, 12345)
-        by_id = {pattern.event_id: pattern for pattern in windowed.patterns}
-        assert by_id["evt3"].window == overrides["evt3"]
-
-    def test_window_overrides_respect_existing_window(self):
-        query = parse_query(
-            'proc p["%tar%"] read file f["%passwd%"] as e during (100, 500) return p, f'
-        )
-        monitor = QueryMonitor(_noop_execute)
-        standing = monitor.register("windowed", query)
-        standing._initialized = True
-        overrides = monitor._window_overrides(standing, 250)
-        assert overrides == {"e": TimeWindow(start=250, end=500)}
-
-    def test_no_overrides_before_initialization(self):
-        monitor = QueryMonitor(_noop_execute)
-        standing = monitor.register("chain", _CHAIN_QUERY)
-        assert monitor._window_overrides(standing, 12345) is None
+        engine = TBQLExecutionEngine(self._loaded_store())
+        monitor = QueryMonitor(engine.prepare)
+        monitor.register("chain", hunt)
+        alerts = monitor.evaluate(0, None)  # initializing full pass
+        alerts += monitor.evaluate(1, 0)  # windowed steady-state pass: nothing new
+        matched = {event_id for alert in alerts for event_id in alert.matched_event_ids}
+        assert len(alerts) >= 1
+        assert matched == engine.execute(hunt).all_matched_event_ids()
 
 
 class TestGraphStandingHuntIsDeltaSeeded:
@@ -195,7 +190,7 @@ class TestGraphStandingHuntIsDeltaSeeded:
 
         store = AuditStore(apply_reduction=False)
         engine = TBQLExecutionEngine(store, backend="graph")
-        monitor = QueryMonitor(engine.execute, prepare=engine.prepare)
+        monitor = QueryMonitor(engine.prepare)
         standing = monitor.register(
             "staging",
             'proc p["%/bin/bash%"] ~>(2~3)[write] file f["%/tmp/staging/%"] as e '

@@ -58,7 +58,6 @@ TRIGGERS = {
         'proc q["z"] write file g["w"] as e2 return p, q'
     ),
     "TR401": 'proc p["%sh%"] ~>(1~2)[read] file f["/etc/%"] return p, f',
-    "TR402": 'proc p["x"] not read file f["y"] as e1 return p, f',
 }
 
 CLEAN_QUERIES = [

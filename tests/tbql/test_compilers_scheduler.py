@@ -1,15 +1,21 @@
-"""Unit tests for the SQL/Cypher compilers and the execution scheduler."""
+"""Unit tests for the pattern compile functions and the execution scheduler."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.auditing.entities import EntityType
+from repro.storage.graph.cypher import render_path_pattern
+from repro.storage.graph.model import Edge, Node
 from repro.storage.loader import AuditStore
 from repro.storage.sql.render import render_select_query
 from repro.tbql.ast import FilterOperator
-from repro.tbql.compiler.cypher_compiler import CypherCompiler
-from repro.tbql.compiler.sql_compiler import SQLCompiler
+from repro.tbql.compiler import (
+    build_path_pattern,
+    compile_select,
+    constrain_path_pattern,
+    constrain_select,
+)
 from repro.tbql.executor import TBQLExecutionEngine
 from repro.tbql.filters import (
     comparison_to_expression,
@@ -81,11 +87,10 @@ class TestFilterBridging:
         assert constraint_count(None) == 0
 
 
-class TestSQLCompiler:
+class TestCompileSelect:
     def test_joins_entities_with_events(self):
         pattern = _first_pattern('proc p["%tar%"] read file f["%passwd%"] as e return p, f')
-        compiled = SQLCompiler().compile(pattern)
-        sql = render_select(compiled.query)
+        sql = render_select(compile_select(pattern))
         assert "FROM events e, entities s, entities o" in sql
         assert "e.srcid = s.id" in sql and "e.dstid = o.id" in sql
         assert "s.type = 'process'" in sql and "o.type = 'file'" in sql
@@ -93,64 +98,85 @@ class TestSQLCompiler:
 
     def test_event_type_filter_matches_object(self):
         pattern = _first_pattern('proc p connect ip i["1.2.3.4"] as e return p')
-        sql = render_select(SQLCompiler().compile(pattern).query)
-        assert "eventtype = 'network'" in sql
+        assert "eventtype = 'network'" in render_select(compile_select(pattern))
 
     def test_multiple_operations_render_as_in_list(self):
         pattern = _first_pattern("proc p read or write file f as e return p")
-        sql = render_select(SQLCompiler().compile(pattern).query)
-        assert "IN ('read', 'write')" in sql
+        assert "IN ('read', 'write')" in render_select(compile_select(pattern))
 
-    def test_time_window_renders_between(self):
+    def test_template_is_windowless_and_window_is_attached(self):
         pattern = _first_pattern("proc p read file f as e during (100, 200) return p")
-        sql = render_select(SQLCompiler().compile(pattern).query)
-        assert "BETWEEN 100 AND 200" in sql
+        template = compile_select(pattern)
+        assert "BETWEEN" not in render_select(template)
+        windowed = constrain_select(template, pattern.window, None, None)
+        assert "BETWEEN 100 AND 200" in render_select(windowed)
+        assert "BETWEEN" not in render_select(template)  # the template is not touched
 
     def test_id_constraints_added(self):
-        prepared = _prepared("proc p read file f as e return p")
-        query = prepared.relational_query(prepared.query.patterns[0], None, [5, 3, 5], [7])
-        sql = render_select(query)
+        pattern = _first_pattern("proc p read file f as e return p")
+        sql = render_select(constrain_select(compile_select(pattern), None, [5, 3, 5], [7]))
         assert "s.id IN (3, 5)" in sql
         assert "e.srcid IN (3, 5)" in sql
         assert "o.id IN (7)" in sql
         assert "e.dstid IN (7)" in sql
 
+    def test_prepared_query_attaches_the_same_constraints(self):
+        prepared = _prepared("proc p read file f as e during (100, 200) return p")
+        pattern = prepared.query.patterns[0]
+        query = prepared.relational_query(pattern, pattern.window, [5, 3, 5], None)
+        expected = constrain_select(compile_select(pattern), pattern.window, [3, 5], None)
+        assert render_select(query) == render_select(expected)
+
     def test_projection_exposes_entity_and_event_columns(self):
         pattern = _first_pattern("proc p read file f as e return p")
-        compiled = SQLCompiler().compile(pattern)
-        names = {output.output_name for output in compiled.query.projection}
+        names = {output.output_name for output in compile_select(pattern).projection}
         assert {"event.id", "subject.exename", "object.name", "event.starttime"} <= names
 
 
-class TestCypherCompiler:
+class TestBuildPathPattern:
     def test_path_pattern_lengths(self):
         pattern = _first_pattern("proc p ~>(2~4)[read] file f as e return p")
-        compiled = CypherCompiler().compile_path(pattern)
-        assert compiled.graph_pattern.min_length == 2
-        assert compiled.graph_pattern.max_length == 4
-        assert compiled.graph_pattern.final_edge.relationship == "read"
-        assert "MATCH" in compiled.cypher_text
+        graph_pattern = build_path_pattern(pattern)
+        assert graph_pattern.min_length == 2
+        assert graph_pattern.max_length == 4
+        assert graph_pattern.final_edge.relationship == "read"
+        assert "MATCH" in render_path_pattern(graph_pattern)
 
     def test_event_pattern_is_single_hop(self):
         pattern = _first_pattern('proc p["%tar%"] read file f as e return p')
-        compiled = CypherCompiler().compile_event(pattern)
-        assert compiled.graph_pattern.max_length == 1
-        assert compiled.graph_pattern.source.label == "process"
-        assert compiled.graph_pattern.target.label == "file"
+        graph_pattern = build_path_pattern(pattern)
+        assert (graph_pattern.min_length, graph_pattern.max_length) == (1, 1)
+        assert graph_pattern.source.label == "process"
+        assert graph_pattern.target.label == "file"
 
     def test_node_predicate_applies_filter(self):
-        from repro.storage.graph.model import Node
-
         pattern = _first_pattern('proc p["%tar%"] read file f as e return p')
-        compiled = CypherCompiler().compile_event(pattern)
+        graph_pattern = build_path_pattern(pattern)
         matching = Node(node_id=1, label="process", properties={"exename": "/bin/tar"})
         not_matching = Node(node_id=2, label="process", properties={"exename": "/bin/cat"})
-        assert compiled.graph_pattern.source.matches(matching)
-        assert not compiled.graph_pattern.source.matches(not_matching)
+        assert graph_pattern.source.matches(matching)
+        assert not graph_pattern.source.matches(not_matching)
+
+    @pytest.mark.parametrize(
+        "operation, matching",
+        [
+            ("read", {"read"}),
+            ("read || write", {"read", "write"}),
+            ("not read", {"write", "execute"}),
+            ("not read || write", {"execute"}),
+        ],
+    )
+    def test_final_edge_matches_the_declared_operations(self, operation, matching):
+        pattern = _first_pattern(f"proc p {operation} file f as e return p")
+        final_edge = build_path_pattern(pattern).final_edge
+        matched = {
+            relationship
+            for relationship in ("read", "write", "execute")
+            if final_edge.matches(Edge(1, 1, 2, relationship, {"starttime": 1, "endtime": 2}))
+        }
+        assert matched == matching
 
     def test_id_constraint_restricts_nodes(self):
-        from repro.storage.graph.model import Node
-
         prepared = _prepared("proc p read file f as e return p")
         graph_pattern = prepared.graph_query(prepared.query.patterns[0], None, [10], None)
         assert graph_pattern.source.allowed_ids == frozenset({10})
@@ -160,15 +186,17 @@ class TestCypherCompiler:
         assert graph_pattern.source.matches(allowed)
         assert not graph_pattern.source.matches(denied)
 
-    def test_window_constrains_edges(self):
-        from repro.storage.graph.model import Edge
-
+    def test_template_is_windowless_and_window_is_attached(self):
         pattern = _first_pattern("proc p read file f as e during (100, 200) return p")
-        compiled = CypherCompiler().compile_event(pattern)
+        template = build_path_pattern(pattern)
+        assert template.final_edge.window is None
+        assert constrain_path_pattern(template, None, None, None) is template
+        final_edge = constrain_path_pattern(template, pattern.window, None, None).final_edge
         inside = Edge(1, 1, 2, "read", {"starttime": 150, "endtime": 160})
         outside = Edge(2, 1, 2, "read", {"starttime": 500, "endtime": 600})
-        assert compiled.graph_pattern.final_edge.matches(inside)
-        assert not compiled.graph_pattern.final_edge.matches(outside)
+        assert final_edge.matches(inside)
+        assert not final_edge.matches(outside)
+        assert template.final_edge.matches(outside)
 
 
 class TestScheduler:

@@ -114,12 +114,34 @@ class TestMultiPatternExecution:
         unoptimized = execute_query(store, FIG2_QUERY, optimize=False)
         assert set(optimized.rows) == set(unoptimized.rows)
         assert optimized.all_matched_event_ids() == unoptimized.all_matched_event_ids()
+        # Constraint propagation is what scheduling buys: fewer candidate
+        # records per pattern, never more.
+        assert sum(optimized.statistics["pattern_matches"].values()) <= sum(
+            unoptimized.statistics["pattern_matches"].values()
+        )
 
     def test_graph_backend_same_result(self, store):
         engine = TBQLExecutionEngine(store, backend="graph")
         result = engine.execute(FIG2_QUERY)
         assert len(result) == 1
         assert result.rows[0][0] == "/bin/tar"
+
+    @pytest.mark.parametrize("mode", ["enforce", "warn", "off"])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "proc p not read file f as e1 return p, f",
+            'proc p["%/bin/tar%"] ~>(1~2)[not read] file f as e1 return distinct p, f',
+        ],
+    )
+    def test_negated_operation_means_the_same_on_both_backends(self, store, query, mode):
+        """The graph backend once dropped ``not`` and returned the complement."""
+        auto = TBQLExecutionEngine(store, analysis_mode=mode).execute(query)
+        graph = TBQLExecutionEngine(store, backend="graph", analysis_mode=mode).execute(query)
+        assert auto.all_matched_event_ids() == graph.all_matched_event_ids()
+        assert len(auto.all_matched_event_ids()) >= 1
+        plain = TBQLExecutionEngine(store, backend="graph").execute(query.replace("not ", ""))
+        assert not auto.all_matched_event_ids() & plain.all_matched_event_ids()
 
     def test_temporal_constraint_filters_out_of_order_chains(self, store):
         # Reversing the order requirement (evt8 before evt1) makes the
@@ -198,6 +220,38 @@ class TestPathPatternExecution:
         assert len(result) == 1
         assert result.rows[0] == ("/bin/bash", "/tmp/upload.tar")
         assert len(result.matched_event_ids["e"]) == 2  # fork edge + write edge
+
+    def test_path_search_agrees_with_its_two_pattern_emulation(self):
+        """EXP-PATH: a (1~2) path is the fixed two-hop join; a longer bound loses nothing."""
+        builder = ScenarioBuilder(seed=37)
+        SoftwareUpdateWorkload(packages=2).generate(builder)
+        chains = 12
+        for index in range(chains):
+            bash = builder.spawn_process("/bin/bash", cmdline=f"bash -c stage-{index}")
+            helper = builder.spawn_process("/usr/bin/python3", cmdline=f"python3 stage-{index}.py")
+            builder.fork(bash, helper)
+            builder.read(helper, builder.file("/home/alice/documents/doc0.txt"))
+            builder.write(helper, builder.file(f"/tmp/staging/archive-{index}.tar"))
+        store = AuditStore()
+        store.load_trace(builder.build())
+        engine = TBQLExecutionEngine(store)
+
+        def path_rows(max_length: int) -> set:
+            return set(
+                engine.execute(
+                    f'proc p["%/bin/bash%"] ~>(1~{max_length})[write] '
+                    'file f["%/tmp/staging/%"] as e return distinct p, f'
+                ).rows
+            )
+
+        emulated = engine.execute(
+            'proc p["%/bin/bash%"] fork proc h as e1 '
+            'proc h write file f["%/tmp/staging/%"] as e2 '
+            "with e1 before e2 return distinct p, f"
+        )
+        assert len(emulated) == chains
+        assert path_rows(2) == set(emulated.rows)
+        assert path_rows(2) <= path_rows(3) <= path_rows(4)
 
     def test_direct_hop_excluded_when_min_length_two(self):
         builder = ScenarioBuilder(seed=5)

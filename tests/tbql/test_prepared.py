@@ -1,4 +1,4 @@
-"""Tests for prepared TBQL queries and the per-pattern plan cache."""
+"""Tests for prepared TBQL queries and their per-pattern compiled templates."""
 
 from __future__ import annotations
 
@@ -115,16 +115,79 @@ class TestPlanCache:
         assert info["templates"] == info_after_first["templates"]
         assert info["hits"] > 0
 
-    def test_window_override_adds_a_distinct_shape(self, engine):
+    def test_window_override_reuses_the_template(self, engine):
         prepared = engine.prepare(SINGLE_PATTERN_QUERY)
         prepared.execute()
-        shapes_without_window = prepared.cache_info()["shapes"]
+        assert prepared.cache_info() == {"templates": 1, "hits": 0, "misses": 1}
         prepared.execute(window_overrides={"e1": TimeWindow(0, 2**62)})
-        assert prepared.cache_info()["shapes"] > shapes_without_window
-        # Same shape again: no new entries, one more hit.
-        hits = prepared.cache_info()["hits"]
-        prepared.execute(window_overrides={"e1": TimeWindow(0, 2**62)})
-        assert prepared.cache_info()["hits"] > hits
+        prepared.execute(window_overrides={"e1": TimeWindow(5, 2**62)})
+        # One template whatever the execution attaches; no per-shape level.
+        assert prepared.cache_info() == {"templates": 1, "hits": 2, "misses": 1}
+
+    def test_templates_compile_lazily(self, engine):
+        """A pattern early termination never reaches is never compiled."""
+        prepared = engine.prepare(
+            'proc p["%/no/such/exe%"] read file f1 as e1 '
+            "proc p write file f2 as e2 with e1 before e2 return p, f1, f2"
+        )
+        assert prepared.cache_info()["templates"] == 0
+        assert len(prepared.execute()) == 0
+        assert prepared.cache_info() == {"templates": 1, "hits": 0, "misses": 1}
+
+    def test_standing_hunt_compiles_each_pattern_once(self, monkeypatch):
+        """≥ 10 batches, one compile per pattern, hits + misses = pattern executions."""
+        from repro.core.pipeline import ThreatRaptor
+        from repro.scenarios import generate_campaigns
+        from repro.storage.graph.planner import CostGuidedPathMatcher
+        from repro.streaming.source import ReplaySource
+        from repro.tbql import prepared as prepared_module
+
+        campaign = generate_campaigns(1, base_seed=1200)[0]
+        raptor = ThreatRaptor()
+        compiled: list[str] = []
+        executed: list[object] = []
+        for name in ("compile_select", "build_path_pattern"):
+            compile_pattern = getattr(prepared_module, name)
+
+            def counting(pattern, compile_pattern=compile_pattern):
+                compiled.append(pattern.event_id)
+                return compile_pattern(pattern)
+
+            monkeypatch.setattr(prepared_module, name, counting)
+        relational_execute = raptor.store.relational.execute
+        graph_match = CostGuidedPathMatcher.match
+        monkeypatch.setattr(
+            raptor.store.relational,
+            "execute",
+            lambda query: executed.append(query) or relational_execute(query),
+        )
+        monkeypatch.setattr(
+            CostGuidedPathMatcher,
+            "match",
+            lambda matcher, pattern: executed.append(pattern) or graph_match(matcher, pattern),
+        )
+
+        service = raptor.watch(batch_size=32)
+        for hunt in campaign.hunts:
+            service.register_hunt(hunt.name, query=hunt.query_text)
+        service.register_hunt(
+            "path",
+            query=(
+                f'proc s["%{campaign.spec.shell}%"] ~>(1~3)[write] '
+                f'file f["%{campaign.spec.tool_path}%"] as v1 return distinct s, f'
+            ),
+        )
+        service.run(ReplaySource(campaign.trace))
+
+        assert min(standing.evaluations for standing in service.hunts) >= 10
+        patterns = [
+            pattern.event_id for standing in service.hunts for pattern in standing.query.patterns
+        ]
+        assert sorted(compiled) == sorted(patterns)
+        infos = [standing.prepared.cache_info() for standing in service.hunts]
+        assert sum(info["templates"] for info in infos) == len(patterns)
+        assert sum(info["hits"] + info["misses"] for info in infos) == len(executed)
+        assert all("shapes" not in info for info in infos)
 
 
 class TestWindowOverrides:
@@ -179,7 +242,7 @@ PATH_QUERY = 'proc p["%/bin/tar%"] ~>(1~3)[write] file f["%/tmp/upload.tar%"] as
 
 
 class TestGraphPlanCache:
-    """Prepared executions on the graph backend share the plan cache too."""
+    """Patterns routed to the graph backend keep their template the same way."""
 
     @pytest.fixture()
     def graph_engine(self, store) -> TBQLExecutionEngine:

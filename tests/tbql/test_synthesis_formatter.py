@@ -5,12 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.auditing.entities import EntityType
-from repro.data import FIGURE2_REPORT, report_by_name
+from repro.data import ALL_REPORTS, FIGURE2_REPORT, report_by_name
 from repro.errors import SynthesisError
 from repro.nlp.behavior_graph import BehaviorEdge, BehaviorNode, ThreatBehaviorGraph
 from repro.nlp.extractor import ThreatBehaviorExtractor
 from repro.nlp.ioc import IOC, IOCType
+from repro.storage.graph.cypher import render_path_pattern
+from repro.storage.sql.render import render_select_query
 from repro.tbql.ast import EventPattern, PathPattern
+from repro.tbql.compiler import build_path_pattern, compile_select
 from repro.tbql.formatter import count_query_lines, format_query
 from repro.tbql.parser import parse_query
 from repro.tbql.semantics import analyze
@@ -205,3 +208,46 @@ class TestFormatter:
     def test_count_query_lines(self, figure2_graph):
         text = format_query(QuerySynthesizer().synthesize(figure2_graph))
         assert count_query_lines(text) == 10  # 8 patterns + with + return
+
+
+_AUDITABLE_REPORTS = [r for r in ALL_REPORTS if r.auditable and r.relation_ground_truth]
+
+
+class TestSynthesisOverTheBundledReports:
+    """EXP-SYNTH: coverage of the reports' behaviour steps, and TBQL's conciseness."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        extractor = ThreatBehaviorExtractor()
+        return {report.name: extractor.extract(report.text).graph for report in _AUDITABLE_REPORTS}
+
+    @pytest.mark.parametrize("report", _AUDITABLE_REPORTS, ids=lambda r: r.name)
+    def test_one_valid_pattern_per_kept_behaviour_edge(self, graphs, report):
+        synthesis = QuerySynthesizer().synthesize_with_report(graphs[report.name])
+        assert analyze(synthesis.query).query.patterns
+        assert synthesis.kept_edges == len(synthesis.query.patterns)
+        assert synthesis.kept_edges >= len(report.relation_ground_truth) * 0.6
+
+    @pytest.mark.parametrize("report", _AUDITABLE_REPORTS, ids=lambda r: r.name)
+    def test_tbql_is_at_least_three_times_shorter_than_its_sql(self, graphs, report):
+        """The paper's conciseness claim, over the data queries the engine runs."""
+        query = QuerySynthesizer().synthesize(graphs[report.name])
+        sql_lines = sum(
+            len(
+                render_select_query(
+                    compile_select(pattern), parameterized=False, pretty=True
+                ).text.splitlines()
+            )
+            for pattern in query.event_patterns()
+        )
+        assert sql_lines >= 3 * count_query_lines(format_query(query))
+
+    def test_path_pattern_tbql_is_no_longer_than_its_cypher(self, graphs):
+        plan = SynthesisPlan(use_path_patterns=True, path_max_length=3)
+        query = QuerySynthesizer(plan).synthesize(graphs[_AUDITABLE_REPORTS[0].name])
+        assert query.path_patterns()
+        cypher_lines = sum(
+            len(render_path_pattern(build_path_pattern(pattern)).splitlines())
+            for pattern in query.path_patterns()
+        )
+        assert cypher_lines >= count_query_lines(format_query(query))

@@ -102,10 +102,12 @@ class TestMonitorQuarantine:
         assert standing.quarantined
         assert standing.status == "quarantined"
         assert standing.prepared is None
+        assert standing.sink_event_id is None
         assert standing.provenance == ("report-7",)
         assert standing.analysis is not None and standing.analysis.has_errors()
-        assert "static analysis" in standing.last_error
-        assert "TR101" in standing.last_error
+        assert [diagnostic.rule for diagnostic in standing.analysis.errors] == ["TR101"]
+        assert standing.last_error.startswith("static analysis: [TR101] ")
+        assert (standing.evaluations, standing.errors) == (0, 1)
         # Evaluation skips it without raising, and the canonical key still
         # routes (a later equivalent report extends provenance, it does not
         # crash into a duplicate registration).
@@ -121,12 +123,43 @@ class TestMonitorQuarantine:
         assert standing.analysis is not None
         assert not standing.analysis.has_errors()
 
-    def test_warn_mode_monitor_does_not_quarantine(self):
+    def test_reinstated_rejected_hunt_fails_its_evaluations_and_requarantines(self):
+        service = ThreatRaptor().watch(query=CLEAN, name="good")
+        standing = service._monitor.register("bad", CONTRADICTORY)
+        service.reinstate_hunt("bad")
+        for batch in range(3):
+            assert service._monitor.evaluate(batch, None) == []
+        assert standing.quarantined
+        assert standing.evaluations == 3
+        assert "TR101" in standing.last_error
+
+    def test_warn_mode_hunt_carries_its_analysis_and_still_evaluates(self):
         raptor = ThreatRaptor(ThreatRaptorConfig(analysis_mode="warn"))
         service = raptor.watch(query=CLEAN, name="good")
         standing = service._monitor.register("bad", CONTRADICTORY)
         assert not standing.quarantined
-        assert standing.analysis is None
+        assert standing.prepared is not None
+        assert standing.analysis is standing.prepared.analysis
+        assert "TR101" in standing.analysis.rules()
+        assert service._monitor.evaluate(0, None) == []
+        assert (standing.evaluations, standing.status) == (1, "ok")
+
+    def test_off_mode_hunt_has_no_analysis(self):
+        raptor = ThreatRaptor(ThreatRaptorConfig(analysis_mode="off"))
+        standing = raptor.watch(query=CONTRADICTORY, name="bad").hunt("bad")
+        assert standing.analysis is None and standing.prepared is not None
+
+    def test_registration_runs_static_analysis_once(self, monkeypatch):
+        raptor = ThreatRaptor()
+        calls = []
+        analyze = raptor._engine._static.analyze
+        monkeypatch.setattr(
+            raptor._engine._static,
+            "analyze",
+            lambda *args: calls.append(args) or analyze(*args),
+        )
+        raptor.watch(query=CLEAN, name="good")
+        assert len(calls) == 1
 
 
 class TestCorpusRejection:

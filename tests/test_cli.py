@@ -156,12 +156,23 @@ class TestErrorPaths:
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("subcommand", ["hunt", "watch", "lint"])
-    def test_sql_is_not_a_backend_choice(self, subcommand, report_file, audit_log, capsys):
+    @pytest.mark.parametrize("backend", ["sql", "relational"])
+    @pytest.mark.parametrize("subcommand", ["hunt", "watch"])
+    def test_removed_backends_are_not_a_choice(
+        self, subcommand, backend, report_file, audit_log, capsys
+    ):
         with pytest.raises(SystemExit) as excinfo:
-            main([subcommand, str(report_file), str(audit_log), "--backend", "sql"])
+            main([subcommand, str(report_file), str(audit_log), "--backend", backend])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'sql'" in capsys.readouterr().err
+        assert f"invalid choice: '{backend}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["sql", "relational", "graph"])
+    def test_lint_has_no_backend_flag(self, backend, report_file, capsys):
+        """No lint rule depends on the backend since TR402 went."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(report_file), "--backend", backend])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_trace_file_is_error(self, report_file, capsys):
         assert main(["hunt", str(report_file), "/nonexistent/audit.log"]) == 1
@@ -186,7 +197,7 @@ class TestErrorPaths:
 class TestLint:
     CLEAN = 'proc p["%sh%"] read file f["/etc/%"] as e1 return p, f\n'
     BAD = 'proc p["x"] read file f[id > 100 and id < 10] as e1 return p, f\n'
-    WARN_ONLY = 'proc p["x"] not read file f["y"] as e1 return p, f\n'
+    WARN_ONLY = 'proc p["x"] read file f["y"] as e1 proc p write file g["z"] as e2 return p, f\n'
 
     @pytest.fixture()
     def query_file(self, tmp_path):
@@ -212,7 +223,7 @@ class TestLint:
     def test_warnings_alone_exit_zero(self, query_file, capsys):
         path = query_file("warn.tbql", self.WARN_ONLY)
         assert main(["lint", str(path)]) == 0
-        assert "warning[TR402]" in capsys.readouterr().out
+        assert "warning[TR301]" in capsys.readouterr().out
 
     def test_multiple_files_worst_exit_wins(self, query_file, capsys):
         good = query_file("clean.tbql", self.CLEAN)
@@ -242,11 +253,6 @@ class TestLint:
         monkeypatch.setattr("sys.stdin", io.StringIO(self.CLEAN))
         assert main(["lint", "-"]) == 0
         assert "<stdin>: clean" in capsys.readouterr().out
-
-    def test_graph_backend_promotes_negation_to_error(self, query_file, capsys):
-        path = query_file("warn.tbql", self.WARN_ONLY)
-        assert main(["lint", "--backend", "graph", str(path)]) == 1
-        assert "error[TR402]" in capsys.readouterr().out
 
     def test_log_feeds_cost_statistics(self, query_file, audit_log, capsys):
         path = query_file("scan.tbql", "proc p read file f as e1 return p, f\n")

@@ -49,11 +49,12 @@ class TestConfig:
             ThreatRaptorConfig(**removed)
         assert len(dataclasses.fields(ThreatRaptorConfig)) == 12
 
-    def test_sql_is_not_an_execution_backend(self):
+    @pytest.mark.parametrize("backend", ["sql", "relational"])
+    def test_removed_execution_backends_are_rejected(self, backend):
         with pytest.raises(ConfigurationError):
-            ThreatRaptorConfig(execution_backend="sql").validate()
+            ThreatRaptorConfig(execution_backend=backend).validate()
         with pytest.raises(ExecutionError):
-            TBQLExecutionEngine(AuditStore(), backend="sql")
+            TBQLExecutionEngine(AuditStore(), backend=backend)
 
 
 class TestCrossHostChain:
@@ -126,11 +127,11 @@ class TestEndToEndHunt:
 
     def test_relational_and_graph_backends_agree(self, figure2_simulation):
         results = {}
-        for backend in ("relational", "graph"):
+        for backend in ("auto", "graph"):
             raptor = ThreatRaptor(ThreatRaptorConfig(execution_backend=backend))
             raptor.load_trace(figure2_simulation.trace)
             results[backend] = raptor.hunt(FIGURE2_REPORT.text).result
-        assert set(results["relational"].rows) == set(results["graph"].rows)
+        assert set(results["auto"].rows) == set(results["graph"].rows)
 
     def test_reduction_disabled_still_hunts(self, figure2_simulation):
         raptor = ThreatRaptor(ThreatRaptorConfig(apply_reduction=False))

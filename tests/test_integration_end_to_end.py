@@ -60,11 +60,11 @@ class TestDemoAttackHunting:
 
     def test_results_stable_across_backends(self, demo_simulation):
         rows = {}
-        for backend in ("relational", "graph"):
+        for backend in ("auto", "graph"):
             raptor = ThreatRaptor(ThreatRaptorConfig(execution_backend=backend))
             raptor.load_trace(demo_simulation.trace)
             rows[backend] = set(raptor.hunt(report_by_name("password-cracking").text).result.rows)
-        assert rows["relational"] == rows["graph"]
+        assert rows["auto"] == rows["graph"]
 
     def test_results_stable_with_and_without_optimization(self, demo_simulation):
         rows = {}

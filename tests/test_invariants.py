@@ -145,7 +145,7 @@ class TestMutableDefaultCheck:
         assert violations == []
 
 
-class TestNoOracleImportCheck:
+class TestImportBoundaryCheck:
     @pytest.mark.parametrize(
         "source",
         [
@@ -157,15 +157,33 @@ class TestNoOracleImportCheck:
         ],
     )
     def test_flags_sqlite_and_tests_imports(self, invariants, source):
-        violations = _check(invariants, "check_no_oracle_imports", source)
+        violations = _check(invariants, "check_import_boundaries", source)
         assert len(violations) == 1
         assert "test oracles stay under tests/" in violations[0].message
 
     def test_allows_product_and_relative_imports(self, invariants):
         violations = _check(
             invariants,
-            "check_no_oracle_imports",
+            "check_import_boundaries",
             "import json\nfrom repro.storage.sql.render import render_select_query\n"
             "from . import tests\nfrom .tests import helper\n",
         )
         assert violations == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.tbql.compiler import compile_select\n",
+            "from repro.tbql.compiler.relational import EVENT_ALIAS\n",
+            "import repro.tbql.compiler.graph\n",
+            "def f():\n    from repro.tbql import compiler\n",
+        ],
+    )
+    def test_only_tbql_imports_the_pattern_compilers(self, invariants, source):
+        tree = ast.parse(source)
+        path = Path("synthetic.py")
+        for outside in ("storage/loader.py", "streaming/monitor.py", "cli.py"):
+            [violation] = invariants.check_import_boundaries(path, tree, outside)
+            assert "PreparedQuery" in violation.message
+        for inside in ("tbql/prepared.py", "tbql/analysis/portability.py"):
+            assert invariants.check_import_boundaries(path, tree, inside) == []
