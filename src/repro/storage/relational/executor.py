@@ -3,15 +3,26 @@
 The execution strategy mirrors what PostgreSQL would do for the join shapes
 the TBQL compiler produces (an event table joined with entity tables):
 
-1. **Access path selection** — for each alias, pick an index-assisted access
-   path when the pushed-down predicate contains an equality on a hash-indexed
-   column or a range on a sorted-indexed column; otherwise a filtered scan.
+1. **Access path selection** — for each alias, cost every index-assisted
+   access path its pushed-down predicate allows and keep the cheapest: an
+   equality or IN-list on a hash-indexed column (estimated from the index's
+   distinct-value count), or a range on a sorted-indexed column (counted
+   exactly with two bisects, so a narrow time window wins); otherwise a
+   filtered scan.
 2. **Join ordering** — start from the alias with the smallest estimated
    cardinality and repeatedly join the connected alias with the smallest
    estimate (a greedy bushy-to-left-deep heuristic, which is adequate for the
-   star-shaped joins produced here).
-3. **Hash joins** — every join condition is an equi-join, executed by building
-   a hash table on the smaller side.
+   star-shaped joins produced here).  Ties go to the alias declared first.
+3. **Index-probe hash joins** — every join condition is an equi-join.  Each
+   alias after the first may be resolved by *probing*: the distinct join keys
+   the joined relation already binds are looked up in the alias's
+   hash-indexed join column, when ``keys × rows-per-key`` is below its own
+   access path's estimate — so ``s`` and ``o`` of a windowed pattern touch
+   only the entities its events name.  Either way the alias's full
+   pushed-down predicate filters its positions, and a hash table built on
+   them checks every join condition.  Rows come out in one order: the joined
+   relation's order, then the new alias's positions ascending (every access
+   path returns positions in storage order).
 4. Cross-alias residual filters, projection, DISTINCT, ORDER BY and LIMIT are
    applied on the joined rows.
 
@@ -25,7 +36,7 @@ materialized anywhere on the hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Container, Mapping, Sequence
 
 from repro.errors import QueryError
 from repro.storage.relational.expression import (
@@ -52,17 +63,26 @@ class AccessPath:
     low: Any = None
     high: Any = None
     estimated_rows: float = 0.0
+    #: ``(column, joined alias, joined column)``: the hash-indexed join column
+    #: this alias may be probed through once the joined alias is bound (set
+    #: for every alias after the first in the join order that has one).
+    probe: tuple[str, str, str] | None = None
 
     def describe(self) -> str:
         """Human-readable description used by EXPLAIN output."""
         if self.kind == "index-eq":
-            return f"{self.alias}: index lookup {self.column}={self.value!r}"
-        if self.kind == "index-in":
-            count = len(self.values or ())
-            return f"{self.alias}: index lookup {self.column} IN ({count} values)"
-        if self.kind == "index-range":
-            return f"{self.alias}: index range {self.column} in [{self.low}, {self.high}]"
-        return f"{self.alias}: sequential scan"
+            access = f"index lookup {self.column}={self.value!r}"
+        elif self.kind == "index-in":
+            access = f"index lookup {self.column} IN ({len(self.values or ())} values)"
+        elif self.kind == "index-range":
+            access = f"index range {self.column} in [{self.low}, {self.high}]"
+        else:
+            access = "sequential scan"
+        notes = f"~{self.estimated_rows:,.0f} rows"
+        if self.probe is not None:
+            column, alias, joined_column = self.probe
+            notes += f"; probe {column} ← {alias}.{joined_column}"
+        return f"{self.alias}: {access} ({notes})"
 
 
 @dataclass
@@ -142,6 +162,22 @@ class QueryExecutor:
             predicate = query.filter_for_alias(ref.alias)
             access_paths[ref.alias] = self._choose_access_path(ref.alias, table, predicate)
         join_order = self._order_joins(query, access_paths)
+        for index, alias in enumerate(join_order[1:], start=1):
+            path = access_paths[alias]
+            probes = [
+                (column, joined_alias, joined_column)
+                for column, joined_alias, joined_column in _join_conditions(
+                    query, alias, join_order[:index]
+                )
+                if column in path.table.hash_indexed_columns()
+                and access_paths[joined_alias].table.column_array(joined_column) is not None
+            ]
+            # The hash-indexed join column with the fewest rows per key.
+            path.probe = min(
+                probes,
+                key=lambda probe: path.table.estimate_selectivity(probe[0]),
+                default=None,
+            )
         return ExecutionPlan(access_paths=access_paths, join_order=join_order)
 
     def _choose_access_path(
@@ -185,6 +221,13 @@ class QueryExecutor:
         ranges = range_lookups(predicate) if has_filter else {}
         for column, (low, high) in ranges.items():
             if column in table.sorted_indexed_columns():
+                try:
+                    count = table.count_range(column, low, high)
+                except TypeError:
+                    # A bound that does not compare with the indexed values
+                    # (``size > "5"`` on an int column): the filtered scan
+                    # applies Comparison's string coercion instead.
+                    continue
                 candidates.append(
                     AccessPath(
                         alias=alias,
@@ -193,7 +236,7 @@ class QueryExecutor:
                         column=column,
                         low=low,
                         high=high,
-                        estimated_rows=max(1.0, len(table) * 0.25),
+                        estimated_rows=float(count),
                     )
                 )
         if candidates:
@@ -209,7 +252,8 @@ class QueryExecutor:
     def _order_joins(
         self, query: SelectQuery, access_paths: dict[str, AccessPath]
     ) -> list[str]:
-        remaining = set(query.aliases())
+        # A list in declaration order, so ``min`` breaks ties deterministically.
+        remaining = query.aliases()
         if not remaining:
             return []
         # adjacency from join conditions
@@ -223,17 +267,17 @@ class QueryExecutor:
         # Start with the smallest estimated alias.
         current = min(remaining, key=lambda alias: access_paths[alias].estimated_rows)
         order.append(current)
-        remaining.discard(current)
+        remaining.remove(current)
         while remaining:
-            connected = {
+            connected = [
                 alias
                 for alias in remaining
                 if any(neighbor in order for neighbor in adjacency[alias])
-            }
+            ]
             candidates = connected or remaining
             nxt = min(candidates, key=lambda alias: access_paths[alias].estimated_rows)
             order.append(nxt)
-            remaining.discard(nxt)
+            remaining.remove(nxt)
         return order
 
     # -- execution ---------------------------------------------------------
@@ -345,12 +389,17 @@ class QueryExecutor:
                     fields[f"{ref.alias}.{name}"] = (slot, array)
         return fields
 
-    def _positions_for_alias(self, query: SelectQuery, path: AccessPath) -> list[int]:
-        """Access-path positions, narrowed by the alias's full predicate."""
+    def _positions_for_alias(
+        self, query: SelectQuery, path: AccessPath, candidates: Sequence[int] | None = None
+    ) -> list[int]:
+        """Candidate positions (the access path's when ``None``), narrowed by
+        the alias's full predicate."""
         predicate = query.filter_for_alias(path.alias)
         residual = None if isinstance(predicate, TrueExpression) else predicate
-        if path.kind == "index-eq":
-            positions: Sequence[int] | None = path.table.positions_equal(path.column, path.value)
+        if candidates is not None:
+            positions: Sequence[int] | None = candidates
+        elif path.kind == "index-eq":
+            positions = path.table.positions_equal(path.column, path.value)
         elif path.kind == "index-in":
             positions = path.table.positions_in(path.column, path.values or ())
         elif path.kind == "index-range":
@@ -358,6 +407,28 @@ class QueryExecutor:
         else:
             positions = None
         return path.table.filter_positions(residual, positions)
+
+    @staticmethod
+    def _probe_positions(
+        relation: _Relation, path: AccessPath, alias_tables: dict[str, Table]
+    ) -> Sequence[int] | None:
+        """The positions of ``path``'s alias whose probe column holds a join
+        key ``relation`` binds, or ``None`` when the keys are expected to
+        reach at least as many rows as the alias's own access path.
+
+        The decision counts the actual keys, so a selective first alias
+        (ten ``nginx`` processes) probes even when the plan could not know.
+        """
+        if path.probe is None:
+            return None
+        column, joined_alias, joined_column = path.probe
+        slot = relation.slot[joined_alias]
+        array = alias_tables[joined_alias].column_array(joined_column)
+        keys = {array[row[slot]] for row in relation.rows}
+        rows_per_key = len(path.table) * path.table.estimate_selectivity(column)
+        if len(keys) * rows_per_key >= path.estimated_rows:
+            return None
+        return path.table.positions_in(column, keys)
 
     def _execute_joins(self, query: SelectQuery, plan: ExecutionPlan) -> _Relation:
         order = plan.join_order
@@ -372,15 +443,16 @@ class QueryExecutor:
 
         for alias in order[1:]:
             path = plan.access_paths[alias]
-            right_positions = self._positions_for_alias(query, path)
-            conditions = [
-                join
-                for join in query.joins
-                if (join.left_alias == alias and join.right_alias in relation.slot)
-                or (join.right_alias == alias and join.left_alias in relation.slot)
-            ]
+            right_positions = self._positions_for_alias(
+                query, path, self._probe_positions(relation, path, alias_tables)
+            )
             relation = self._hash_join(
-                relation, alias, path.table, right_positions, conditions, alias_tables
+                relation,
+                alias,
+                path.table,
+                right_positions,
+                _join_conditions(query, alias, relation.slot),
+                alias_tables,
             )
         return relation
 
@@ -390,9 +462,13 @@ class QueryExecutor:
         right_alias: str,
         right_table: Table,
         right_positions: list[int],
-        conditions: list,
+        conditions: list[tuple[str, str, str]],
         alias_tables: dict[str, Table],
     ) -> _Relation:
+        """Join ``right_positions`` (ascending) onto ``left``.
+
+        Output order: ``left``'s row order, then right positions ascending.
+        """
         aliases = left.aliases + (right_alias,)
         if not conditions:
             # Cartesian product (rare: disconnected patterns).
@@ -406,18 +482,11 @@ class QueryExecutor:
         # matching the old dict-based ``row.get``.
         left_keys: list[tuple[int, Sequence[Any] | None]] = []
         right_keys: list[Sequence[Any] | None] = []
-        for join in conditions:
-            if join.right_alias == right_alias:
-                other_alias, other_column = join.left_alias, join.left_column
-                own_column = join.right_column
-            else:
-                other_alias, other_column = join.right_alias, join.right_column
-                own_column = join.left_column
-            other_table = alias_tables[other_alias]
+        for column, joined_alias, joined_column in conditions:
             left_keys.append(
-                (left.slot[other_alias], other_table.column_array(other_column))
+                (left.slot[joined_alias], alias_tables[joined_alias].column_array(joined_column))
             )
-            right_keys.append(right_table.column_array(own_column))
+            right_keys.append(right_table.column_array(column))
 
         def left_key(row: tuple[int, ...]) -> tuple[Any, ...]:
             return tuple(
@@ -430,25 +499,29 @@ class QueryExecutor:
                 array[position] if array is not None else None for array in right_keys
             )
 
-        # Build on the smaller side; probe order drives output order, exactly
-        # as the row-dict executor did.
+        # Always build on the new side and probe in left order: the output
+        # order then does not depend on which side is smaller or on whether
+        # the new side was resolved by its access path or by a probe.
+        buckets: dict[tuple[Any, ...], list[int]] = {}
+        for position in right_positions:
+            buckets.setdefault(right_key(position), []).append(position)
         joined: list[tuple[int, ...]] = []
-        if len(left.rows) <= len(right_positions):
-            buckets: dict[tuple[Any, ...], list[tuple[int, ...]]] = {}
-            for row in left.rows:
-                buckets.setdefault(left_key(row), []).append(row)
-            for position in right_positions:
-                matches = buckets.get(right_key(position))
-                if matches:
-                    for row in matches:
-                        joined.append(row + (position,))
-        else:
-            position_buckets: dict[tuple[Any, ...], list[int]] = {}
-            for position in right_positions:
-                position_buckets.setdefault(right_key(position), []).append(position)
-            for row in left.rows:
-                matches = position_buckets.get(left_key(row))
-                if matches:
-                    for position in matches:
-                        joined.append(row + (position,))
+        for row in left.rows:
+            matches = buckets.get(left_key(row))
+            if matches:
+                joined.extend(row + (position,) for position in matches)
         return _Relation(aliases, joined)
+
+
+def _join_conditions(
+    query: SelectQuery, alias: str, bound: Container[str]
+) -> list[tuple[str, str, str]]:
+    """``alias``'s join conditions to the aliases in ``bound``, each as
+    ``(alias's column, bound alias, bound alias's column)``."""
+    conditions: list[tuple[str, str, str]] = []
+    for join in query.joins:
+        if join.right_alias == alias and join.left_alias in bound:
+            conditions.append((join.right_column, join.left_alias, join.left_column))
+        elif join.left_alias == alias and join.right_alias in bound:
+            conditions.append((join.left_column, join.right_alias, join.right_column))
+    return conditions

@@ -383,16 +383,23 @@ def range_lookups(expression: Expression) -> dict[str, tuple[Any, Any]]:
     """Extract per-column (low, high) bounds from range conjuncts.
 
     ``None`` in either position means unbounded on that side.  Used by the
-    planner to drive sorted-index range scans on timestamps.
+    planner to drive sorted-index range scans on timestamps.  A column whose
+    bounds do not compare with each other (``size > 5 AND size > "3"``) is
+    left out: ``Comparison`` coerces such operands per row, which no single
+    range expresses.
     """
     bounds: dict[str, tuple[Any, Any]] = {}
+    incomparable: set[str] = set()
 
     def update(column: str, low: Any, high: Any) -> None:
         current_low, current_high = bounds.get(column, (None, None))
-        if low is not None and (current_low is None or low > current_low):
-            current_low = low
-        if high is not None and (current_high is None or high < current_high):
-            current_high = high
+        try:
+            if low is not None and (current_low is None or low > current_low):
+                current_low = low
+            if high is not None and (current_high is None or high < current_high):
+                current_high = high
+        except TypeError:
+            incomparable.add(column)
         bounds[column] = (current_low, current_high)
 
     conjuncts = expression.flattened() if isinstance(expression, And) else [expression]
@@ -409,4 +416,6 @@ def range_lookups(expression: Expression) -> dict[str, tuple[Any, Any]]:
                 update(column, value, None)
             elif conjunct.operator in ("<", "<="):
                 update(column, None, value)
+    for column in incomparable:
+        del bounds[column]
     return bounds

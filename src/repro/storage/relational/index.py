@@ -90,23 +90,35 @@ class SortedIndex:
             return
         insort(self._entries, (value, position))
 
+    def _span(self, low: Any, high: Any) -> tuple[int, int]:
+        """``[start, stop)`` of the entries whose value lies in ``[low, high]``.
+
+        Raises ``TypeError`` when a bound does not compare with the indexed
+        values (e.g. a string bound on an int column).
+        """
+        start = 0 if low is None else bisect_left(self._entries, (low,))
+        # (high, +inf) — any position sorts before it for finite positions.
+        stop = (
+            len(self._entries)
+            if high is None
+            else bisect_right(self._entries, (high, float("inf")))
+        )
+        return start, max(start, stop)
+
     def range(self, low: Any = None, high: Any = None) -> Iterator[int]:
-        """Yield row positions whose value lies in ``[low, high]`` (inclusive).
+        """Yield row positions whose value lies in ``[low, high]`` (inclusive),
+        in value order.
 
         Either bound may be ``None`` for an open-ended range.
         """
-        if low is None:
-            start = 0
-        else:
-            start = bisect_left(self._entries, (low,))
-        if high is None:
-            stop = len(self._entries)
-        else:
-            # (high, +inf) — any position sorts after (high, p) for finite p,
-            # so bisect on (high, positive infinity surrogate).
-            stop = bisect_right(self._entries, (high, float("inf")))
+        start, stop = self._span(low, high)
         for value, position in self._entries[start:stop]:
             yield position
+
+    def count(self, low: Any = None, high: Any = None) -> int:
+        """Exact number of positions :meth:`range` yields, from two bisects."""
+        start, stop = self._span(low, high)
+        return stop - start
 
     def lookup(self, value: Any) -> list[int]:
         """Row positions whose value equals ``value`` exactly."""

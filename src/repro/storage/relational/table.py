@@ -217,10 +217,11 @@ class Table:
     def positions_range(
         self, column: str, low: Any = None, high: Any = None
     ) -> Sequence[int]:
-        """Positions whose ``column`` lies in ``[low, high]`` (inclusive)."""
+        """Positions whose ``column`` lies in ``[low, high]`` (inclusive), in
+        storage order — the order every other access path returns."""
         sorted_index = self._sorted_indexes.get(column)
         if sorted_index is not None:
-            return list(sorted_index.range(low, high))
+            return sorted(sorted_index.range(low, high))
         array = self._columns.get(column)
         if array is None:
             return ()
@@ -307,6 +308,16 @@ class Table:
         if index is not None and index.distinct_values():
             return 1.0 / index.distinct_values()
         return 0.1
+
+    def count_range(self, column: str, low: Any = None, high: Any = None) -> int:
+        """Exact number of rows whose sorted-indexed ``column`` lies in
+        ``[low, high]``, without touching them.
+
+        Raises:
+            KeyError: when ``column`` has no sorted index.
+            TypeError: when a bound does not compare with the column's values.
+        """
+        return self._sorted_indexes[column].count(low, high)
 
     def statistics(self) -> dict[str, Any]:
         """Summary statistics for EXPLAIN output and tests."""

@@ -2,9 +2,11 @@
 
 This module preserves the engine's original per-row-dict execution path —
 qualified row dicts per alias, per-row ``Expression.evaluate`` residual
-filtering, dict-merging hash joins — exactly as it ran before the columnar
-rework.  It is a test oracle: the property tests and the data-query
-differential test compare the columnar
+filtering, dict-merging hash joins — as it ran before the columnar rework,
+except that its hash join emits the engine's one documented row order (left
+rows in order, then right rows in storage order) and it resolves every alias
+through its own access path, never by an index probe.  It is a test oracle:
+the property tests and the data-query differential test compare the columnar
 :class:`~repro.storage.relational.executor.QueryExecutor` row-for-row against
 this naive evaluator.  Row dicts are materialized once per table and cached
 (keyed by row count so appends invalidate).
@@ -168,19 +170,12 @@ class ReferenceQueryExecutor:
                     key.append(row.get(f"{join.left_alias}.{join.left_column}"))
             return tuple(key)
 
-        if len(left_rows) <= len(right_rows):
-            buckets: dict[tuple[Any, ...], list[dict[str, Any]]] = {}
-            for row in left_rows:
-                buckets.setdefault(left_key(row), []).append(row)
-            joined: list[dict[str, Any]] = []
-            for row in right_rows:
-                for match in buckets.get(right_key(row), []):
-                    joined.append(dict(match, **row))
-            return joined
-        buckets = {}
+        # The engine's one output order: left rows in order, then right rows
+        # in storage order.
+        buckets: dict[tuple[Any, ...], list[dict[str, Any]]] = {}
         for row in right_rows:
             buckets.setdefault(right_key(row), []).append(row)
-        joined = []
+        joined: list[dict[str, Any]] = []
         for row in left_rows:
             for match in buckets.get(left_key(row), []):
                 joined.append(dict(row, **match))

@@ -7,13 +7,15 @@ implementations on randomized inputs:
 * ``Table.filter_positions`` vs. evaluating ``Expression.evaluate`` on every
   materialized row (the pre-columnar semantics);
 * ``QueryExecutor.execute`` vs. :class:`ReferenceQueryExecutor` (the old
-  row-dict executor) — row-for-row, order included;
+  row-dict executor) — row-for-row, order included, also on
+  ``compile_select``-shaped star joins whose aliases are index-probed;
 * ``TBQLExecutionEngine._join`` vs. a nested-loop join over binding dicts.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,20 +63,12 @@ _rows = st.lists(
 # LIKE with and without wildcards/negation, IN lists, BETWEEN, and a
 # column-to-column comparison.
 _leaves = st.one_of(
-    # Ordered comparisons on the sorted-indexed int column use int literals:
-    # a string bound would send the planner's index-range path into
-    # SortedIndex.range with mixed types, which raises TypeError by design
-    # (in the pre-columnar engine too — time columns are homogeneous).
+    # String literals on the sorted-indexed int column exercise the mixed-type
+    # string-coercion path: the planner must not range-scan the index with a
+    # bound that does not compare with its values.
     st.builds(
         lambda op, value: Comparison(Column("size"), op, Literal(value)),
-        st.sampled_from(["<", "<=", ">", ">="]),
-        st.one_of(st.integers(-15, 15), st.none()),
-    ),
-    # Equality/inequality never routes through the sorted index, so it also
-    # exercises the mixed-type string-coercion path.
-    st.builds(
-        lambda op, value: Comparison(Column("size"), op, Literal(value)),
-        st.sampled_from(["=", "!="]),
+        st.sampled_from(["<", "<=", ">", ">=", "=", "!="]),
         st.one_of(st.integers(-15, 15), st.sampled_from(["5", "alpha"]), st.none()),
     ),
     st.builds(
@@ -215,6 +209,177 @@ class TestExecutorAgainstReference:
         columnar = QueryExecutor(tables).execute(query)
         reference = ReferenceQueryExecutor(tables).execute(query)
         assert columnar.rows == reference.rows
+
+    def test_range_bound_of_another_type_coerces_like_evaluate(self):
+        """``size > "5"`` on the sorted-indexed int column compares as strings,
+        exactly as ``Comparison.evaluate`` does, instead of raising TypeError."""
+        table = _build_table([("alpha", size, "root") for size in range(10)])
+        predicate = Comparison(Column("size"), ">", Literal("5"))
+        query = SelectQuery()
+        query.add_table("items", "t")
+        query.add_filter("t", predicate)
+        query.add_output("t", "size")
+        result = QueryExecutor({"items": table}).execute(query)
+        assert result.column("t.size") == [6, 7, 8, 9]
+        assert [table.row_at(p)["size"] for p in _reference_positions(table, predicate)] == [
+            6, 7, 8, 9
+        ]
+
+
+# -- index-probe joins over compile_select-shaped star joins ------------------
+
+_STAR_ENTITIES = TableSchema(
+    name="entities",
+    columns=(
+        ColumnDefinition("id", int),
+        ColumnDefinition("type", str),
+        ColumnDefinition("name", str),
+    ),
+)
+_STAR_EVENTS = TableSchema(
+    name="events",
+    columns=(
+        ColumnDefinition("id", int, nullable=False),
+        ColumnDefinition("srcid", int),
+        ColumnDefinition("dstid", int),
+        ColumnDefinition("optype", str),
+        ColumnDefinition("starttime", int),
+    ),
+)
+
+# Entity ids repeat and may be NULL, so join keys are duplicated and NULL.
+_entity_ids = st.one_of(st.none(), st.integers(0, 12))
+_star_entities = st.lists(
+    st.tuples(
+        _entity_ids,
+        st.sampled_from(["proc", "file"]),
+        st.sampled_from(["/bin/tar", "/usr/bin/nginx", "/etc/passwd", "/tmp/x.tar"]),
+    ),
+    max_size=25,
+)
+_star_events = st.lists(
+    st.tuples(
+        _entity_ids,
+        _entity_ids,
+        st.sampled_from(["read", "write", "execute"]),
+        st.integers(0, 50),
+    ),
+    max_size=40,
+)
+_event_filters = st.lists(
+    st.one_of(
+        st.builds(
+            lambda op: Comparison(Column("optype"), "=", Literal(op)),
+            st.sampled_from(["read", "write", "connect"]),
+        ),
+        # Windows reach past the data, so the events alias can come out empty.
+        st.builds(
+            lambda low, width: Between(Column("starttime"), low, low + width),
+            st.integers(0, 60),
+            st.integers(0, 60),
+        ),
+    ),
+    max_size=2,
+)
+_entity_filters = st.lists(
+    st.one_of(
+        st.builds(
+            lambda kind: Comparison(Column("type"), "=", Literal(kind)),
+            st.sampled_from(["proc", "file"]),
+        ),
+        st.builds(
+            lambda pattern: Like(Column("name"), pattern),
+            st.sampled_from(["%tar%", "%nginx%", "/etc/%", "%"]),
+        ),
+    ),
+    max_size=2,
+)
+# An entity-id constraint lands on the entity alias and on the event table's
+# foreign key, as constrain_select attaches it.
+_id_constraints = st.one_of(
+    st.none(), st.lists(_entity_ids, min_size=1, max_size=4).map(tuple)
+)
+
+
+def _star_tables(entities, events) -> dict[str, Table]:
+    entity_table = Table(_STAR_ENTITIES)
+    for column in ("id", "type", "name"):
+        entity_table.create_hash_index(column)
+    for entity_id, kind, name in entities:
+        entity_table.insert({"id": entity_id, "type": kind, "name": name})
+    event_table = Table(_STAR_EVENTS)
+    for column in ("id", "srcid", "dstid", "optype"):
+        event_table.create_hash_index(column)
+    event_table.create_sorted_index("starttime")
+    for index, (srcid, dstid, optype, start) in enumerate(events):
+        event_table.insert(
+            {"id": index, "srcid": srcid, "dstid": dstid, "optype": optype, "starttime": start}
+        )
+    return {"entities": entity_table, "events": event_table}
+
+
+def _star_query(event_filters, subject, obj) -> SelectQuery:
+    query = SelectQuery()
+    query.add_table("events", "e")
+    query.add_table("entities", "s")
+    query.add_table("entities", "o")
+    query.add_join("e", "srcid", "s", "id")
+    query.add_join("e", "dstid", "o", "id")
+    for predicate in event_filters:
+        query.add_filter("e", predicate)
+    for alias, foreign_key, (filters, ids) in (("s", "srcid", subject), ("o", "dstid", obj)):
+        for predicate in filters:
+            query.add_filter(alias, predicate)
+        if ids is not None:
+            query.add_filter(alias, InList(Column("id"), ids))
+            query.add_filter("e", InList(Column(foreign_key), ids))
+    query.add_output("e", "id", "event")
+    query.add_output("s", "id", "subject")
+    query.add_output("o", "id", "object")
+    query.add_output("s", "name", "subject_name")
+    return query
+
+
+class _BranchCountingExecutor(QueryExecutor):
+    """Counts which way each alias after the first was resolved."""
+
+    def __init__(self, tables, branches: Counter) -> None:
+        super().__init__(tables)
+        self._branches = branches
+
+    def _probe_positions(self, relation, path, alias_tables):
+        positions = QueryExecutor._probe_positions(relation, path, alias_tables)
+        self._branches["probe" if positions is not None else "access path"] += 1
+        if not relation.rows:
+            self._branches["empty left relation"] += 1
+        return positions
+
+
+class TestIndexProbeJoinAgainstReference:
+    def test_star_join_matches_reference_through_both_branches(self):
+        """e ⋈ s ⋈ o returns exactly the reference rows, in order, whether an
+        alias is probed through its join column or resolved on its own."""
+        branches: Counter = Counter()
+
+        @settings(max_examples=250, deadline=None)
+        @given(
+            _star_entities,
+            _star_events,
+            _event_filters,
+            st.tuples(_entity_filters, _id_constraints),
+            st.tuples(_entity_filters, _id_constraints),
+        )
+        def check(entities, events, event_filters, subject, obj):
+            tables = _star_tables(entities, events)
+            query = _star_query(event_filters, subject, obj)
+            columnar = _BranchCountingExecutor(tables, branches).execute(query)
+            reference = ReferenceQueryExecutor(tables).execute(query)
+            assert columnar.rows == reference.rows
+
+        check()
+        assert branches["probe"] > 0
+        assert branches["access path"] > 0
+        assert branches["empty left relation"] > 0
 
 
 def _nested_loop_join(left, right, shared):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.storage.relational.index import HashIndex, SortedIndex
 
 
@@ -99,3 +101,46 @@ class TestSortedIndex:
         for position in range(5):
             index.insert(9, position)
         assert sorted(index.range(9, 9)) == [0, 1, 2, 3, 4]
+
+
+class TestSortedIndexCount:
+    @staticmethod
+    def _index(values) -> SortedIndex:
+        index = SortedIndex("t")
+        for position, value in enumerate(values):
+            index.insert(value, position)
+        return index
+
+    def test_count_equals_range_length(self):
+        index = self._index([50, 10, 30, 20, 40])
+        for low, high in [(20, 40), (10, 50), (11, 19), (0, 100), (30, 30)]:
+            assert index.count(low, high) == len(list(index.range(low, high)))
+        assert index.count(20, 40) == 3
+
+    def test_open_bounds(self):
+        index = self._index([1, 2, 3, None])
+        assert index.count() == 3
+        assert index.count(None, 2) == 2
+        assert index.count(2, None) == 2
+        assert index.count(4, None) == 0
+
+    def test_empty_index(self):
+        index = SortedIndex("t")
+        assert index.count() == 0
+        assert index.count(1, 2) == 0
+        assert list(index.range(1, 2)) == []
+
+    def test_duplicate_values(self):
+        index = self._index([9, 9, 9, 8, 10])
+        assert index.count(9, 9) == 3
+        assert index.count(8, 9) == 4
+
+    def test_low_above_high_counts_nothing(self):
+        index = self._index([1, 2, 3])
+        assert index.count(3, 1) == 0
+        assert list(index.range(3, 1)) == []
+
+    def test_bound_of_another_type_raises(self):
+        index = self._index([1, 2, 3])
+        with pytest.raises(TypeError):
+            index.count("2", None)

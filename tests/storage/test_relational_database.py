@@ -169,8 +169,19 @@ class TestPlanner:
         assert plan.join_order[0] in ("e", "s")
 
     def test_explain_lines(self, database: RelationalDatabase):
-        lines = database.explain(_join_query())
-        assert any("join order" in line for line in lines)
+        # Estimated rows per alias; each alias after the first names the
+        # join column it may be probed through.
+        assert database.explain(_join_query()) == [
+            "e: index lookup optype='read' (~2 rows)",
+            "s: sequential scan (~2 rows; probe id ← e.srcid)",
+            "o: sequential scan (~4 rows; probe id ← e.dstid)",
+            "join order: e -> s -> o",
+        ]
+
+    def test_explain_counts_a_window_exactly(self, database: RelationalDatabase):
+        query = _join_query()
+        query.add_filter("e", Between(Column("starttime"), 0, 150))
+        assert database.explain(query)[0] == "e: index range starttime in [0, 150] (~1 rows)"
 
     def test_unknown_alias_rejected(self, database: RelationalDatabase):
         query = SelectQuery()

@@ -116,6 +116,16 @@ class TestPositionalAccess:
     def test_positions_range(self, table: Table):
         assert sorted(table.positions_range("size", 60, 150)) == [0, 3]
 
+    def test_positions_range_is_in_storage_order(self, table: Table):
+        # Sizes 100, 50, 900, 120: value order would be [1, 0, 3, 2].
+        assert table.positions_range("size") == [0, 1, 2, 3]
+
+    def test_count_range_counts_without_touching_rows(self, table: Table):
+        assert table.count_range("size", 60, 150) == 2
+        assert table.count_range("size") == 4
+        with pytest.raises(TypeError):
+            table.count_range("size", "5", None)
+
     def test_filter_positions_vectorized(self, table: Table):
         predicate = Comparison(Column("size"), ">", Literal(90))
         assert table.filter_positions(predicate) == [0, 2, 3]
