@@ -23,7 +23,9 @@ know about:
   executor and the DFS matcher are reference implementations that live with
   the tests and must not drift back.  And nothing outside ``repro/tbql/``
   imports ``repro.tbql.compiler``: storage, streaming, intel and core reach
-  data queries only through ``PreparedQuery``.
+  data queries only through ``PreparedQuery``.  Likewise only ``storage/``
+  imports ``repro.storage.segment`` or ``repro.storage.relational.executor``:
+  the rest of the product reaches a store through ``AuditStore``.
 
 Exit status: 0 when clean, 1 with one ``file:line: message`` per violation
 otherwise.  Run as ``python scripts/check_invariants.py`` from the repo root.
@@ -65,6 +67,14 @@ _IMPORT_BOUNDARIES: dict[str, tuple[str | None, str]] = {
     "repro.tbql.compiler": (
         "tbql/",
         "only repro.tbql compiles patterns; everything else goes through PreparedQuery",
+    ),
+    "repro.storage.segment": (
+        "storage/",
+        "only repro.storage opens segments; everything else goes through AuditStore",
+    ),
+    "repro.storage.relational.executor": (
+        "storage/",
+        "only repro.storage plans data queries; everything else goes through AuditStore",
     ),
 }
 

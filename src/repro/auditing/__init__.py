@@ -29,7 +29,6 @@ from repro.auditing.parser import AuditLogParser, ParseStatistics, parse_log_tex
 from repro.auditing.reduction import (
     CausalityPreservedReducer,
     IncrementalReducer,
-    ReducedEvent,
     ReductionStats,
     reduce_trace,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "Operation",
     "ParseStatistics",
     "ProcessEntity",
-    "ReducedEvent",
     "ReductionStats",
     "SystemEntity",
     "SystemEvent",

@@ -164,14 +164,6 @@ class CausalityPreservedReducer:
 
 
 @dataclass
-class ReducedEvent:
-    """One reduced event emitted by the incremental reducer."""
-
-    event: SystemEvent
-    malicious: bool = False
-
-
-@dataclass
 class _PendingEdge:
     """The still-merge-open representative of the last event on one edge.
 
@@ -182,7 +174,6 @@ class _PendingEdge:
 
     representative: SystemEvent
     last_end: int
-    malicious: bool = False
 
 
 class IncrementalReducer:
@@ -222,17 +213,14 @@ class IncrementalReducer:
         """Largest event start time observed so far (``None`` before any)."""
         return self._watermark_ns
 
-    def ingest(
-        self, events: Iterable[SystemEvent], malicious_event_ids: Iterable[int] = ()
-    ) -> list[ReducedEvent]:
+    def ingest(self, events: Iterable[SystemEvent]) -> list[SystemEvent]:
         """Feed one micro-batch of events; returns the events sealed by it.
 
         Events are processed in ``(start_time, event_id)`` order within the
         batch; across batches the stream is expected to arrive time-ordered
         (batch-path equivalence only holds for in-order streams).
         """
-        malicious = set(malicious_event_ids)
-        sealed: list[ReducedEvent] = []
+        sealed: list[SystemEvent] = []
         for event in sorted(events, key=lambda e: (e.start_time, e.event_id)):
             self.events_seen += 1
             edge = (event.subject_id, event.object_id, event.operation.value)
@@ -250,16 +238,11 @@ class IncrementalReducer:
                 if self._merge_window_ns is None or gap <= self._merge_window_ns:
                     pending.representative = pending.representative.merged_with(event)
                     pending.last_end = event.end_time
-                    pending.malicious = pending.malicious or event.event_id in malicious
                     self._advance_watermark(event.start_time)
                     continue
                 sealed.append(self._seal(edge))
 
-            self._pending[edge] = _PendingEdge(
-                representative=event,
-                last_end=event.end_time,
-                malicious=event.event_id in malicious,
-            )
+            self._pending[edge] = _PendingEdge(representative=event, last_end=event.end_time)
             self._pending_by_entity[event.subject_id].add(edge)
             self._pending_by_entity[event.object_id].add(edge)
             self._advance_watermark(event.start_time)
@@ -267,7 +250,7 @@ class IncrementalReducer:
         sealed.extend(self._seal_expired())
         return sealed
 
-    def flush(self) -> list[ReducedEvent]:
+    def flush(self) -> list[SystemEvent]:
         """Seal and emit every pending event (end of stream / on demand)."""
         return [self._seal(edge) for edge in list(self._pending)]
 
@@ -287,7 +270,7 @@ class IncrementalReducer:
         if self._watermark_ns is None or start_time > self._watermark_ns:
             self._watermark_ns = start_time
 
-    def _seal(self, edge: tuple[int, int, str]) -> ReducedEvent:
+    def _seal(self, edge: tuple[int, int, str]) -> SystemEvent:
         pending = self._pending.pop(edge)
         for entity_id in (edge[0], edge[1]):
             edges = self._pending_by_entity.get(entity_id)
@@ -296,9 +279,9 @@ class IncrementalReducer:
                 if not edges:
                     del self._pending_by_entity[entity_id]
         self.events_emitted += 1
-        return ReducedEvent(event=pending.representative, malicious=pending.malicious)
+        return pending.representative
 
-    def _seal_expired(self) -> list[ReducedEvent]:
+    def _seal_expired(self) -> list[SystemEvent]:
         """Seal pending events no future in-order event could merge with.
 
         Any future event starts at or after the watermark, so a pending edge

@@ -4,7 +4,9 @@ ThreatRaptor stores each trace in both PostgreSQL (tables) and Neo4j (nodes
 and edges) and applies Causality Preserved Reduction "to reduce the data size"
 before storage.  :class:`AuditStore` bundles the two backends of this
 reproduction behind one loading and statistics interface so the TBQL execution
-engine can be handed a single object.
+engine can be handed a single object.  The two backends are the only copies
+of the stored data: the store keeps no trace of its own, and ground-truth
+labels stay with the traces the generators produce.
 
 Two loading modes are supported:
 
@@ -114,32 +116,28 @@ class AuditStore:
         self._apply_reduction = apply_reduction
         self._reducer = CausalityPreservedReducer(merge_window_ns=merge_window_ns)
         self._incremental = self._reducer.incremental() if apply_reduction else None
-        self._loaded_trace: AuditTrace | None = None
-        self._owns_loaded_trace = False
-        self._known_entity_ids: set[int] = set()
+        self._generation = 0
         if storage == "segments":
             self._rehydrate_from_segments()
 
     def _rehydrate_from_segments(self) -> None:
-        """Rebuild in-memory state from rows a reopened data directory holds.
+        """Rebuild the graph from the rows a reopened data directory holds.
 
-        Persisted rows are post-reduction, so the rehydrated trace is the
-        reduced trace the previous process stored; the malicious-event ground
-        truth is not part of the audit schema and does not survive restarts.
+        Rows stream partition by partition into the graph; persisted rows are
+        post-reduction, so the graph holds what the previous process stored.
         """
         assert isinstance(self.relational, SegmentedRelationalDatabase)
-        entity_rows = list(self.relational.table("entities").scan())
-        event_rows = list(self.relational.table("events").scan())
-        if not entity_rows and not event_rows:
-            return
-        entities = [entity_from_row(row) for row in entity_rows]
-        events = [event_from_row(row) for row in event_rows]
-        host = entities[0].host if entities else "localhost"
-        trace = AuditTrace(host=host, entities=entities, events=events)
-        self.graph.load_trace(trace)
-        self._loaded_trace = trace
-        self._owns_loaded_trace = True
-        self._known_entity_ids = {entity.entity_id for entity in entities}
+        self.graph.load_entities(
+            entity_from_row(row) for row in self.relational.table("entities").scan()
+        )
+        self.graph.load_events(event_from_row(row) for row in self.relational.event_rows())
+
+    @property
+    def generation(self) -> int:
+        """Advances whenever the stored rows change: a load, a :meth:`reset`,
+        or an append that stores at least one row.  Caches keyed on the
+        store's contents compare it instead of the rows themselves."""
+        return self._generation
 
     def reset(self) -> None:
         """Drop all stored data and incremental-reduction state."""
@@ -147,9 +145,7 @@ class AuditStore:
         self.graph.clear()
         if self._apply_reduction:
             self._incremental = self._reducer.incremental()
-        self._loaded_trace = None
-        self._owns_loaded_trace = False
-        self._known_entity_ids.clear()
+        self._generation += 1
 
     # -- whole-trace loading -------------------------------------------------
 
@@ -161,13 +157,12 @@ class AuditStore:
         ``append=True`` to add the trace to what is already stored instead
         (the incremental path :mod:`repro.streaming` builds on).
 
-        When reduction is enabled the reduced trace is what gets stored (and
-        what :attr:`loaded_trace` returns), matching the paper's deployment.
+        When reduction is enabled the reduced trace is what gets stored,
+        matching the paper's deployment; the store does not hold on to either
+        trace.
         """
         if append:
-            appended = self.append_batch(
-                trace.entities, trace.events, malicious_event_ids=trace.malicious_event_ids
-            )
+            appended = self.append_batch(trace.entities, trace.events)
             return LoadReport(
                 relational_rows={
                     "entities": appended.appended_entities,
@@ -189,18 +184,13 @@ class AuditStore:
             to_load, report.reduction = self._reducer.reduce(trace)
         report.relational_rows = self.relational.load_trace(to_load)
         report.graph_counts = self.graph.load_trace(to_load)
-        self._loaded_trace = to_load
-        self._owns_loaded_trace = to_load is not trace
-        self._known_entity_ids = {entity.entity_id for entity in to_load.entities}
+        self._generation += 1
         return report
 
     # -- incremental loading -------------------------------------------------
 
     def append_batch(
-        self,
-        entities: Iterable[SystemEntity],
-        events: Iterable[SystemEvent],
-        malicious_event_ids: Iterable[int] = (),
+        self, entities: Iterable[SystemEntity], events: Iterable[SystemEvent]
     ) -> AppendReport:
         """Append one micro-batch of audit data to both backends.
 
@@ -211,23 +201,13 @@ class AuditStore:
         later batch or :meth:`flush` seals them.
         """
         report = AppendReport()
-        new_entities = [
-            entity for entity in entities if entity.entity_id not in self._known_entity_ids
-        ]
+        new_entities = [entity for entity in entities if not self.graph.has_node(entity.entity_id)]
         event_list = list(events)
         report.events_ingested = len(event_list)
-
-        malicious = set(malicious_event_ids)
-        if self._incremental is not None:
-            sealed = self._incremental.ingest(event_list, malicious)
-            stored_events = [item.event for item in sealed]
-            stored_malicious = {item.event.event_id for item in sealed if item.malicious}
-            report.pending_events = self._incremental.pending_count
-        else:
-            stored_events = event_list
-            stored_malicious = {e.event_id for e in event_list if e.event_id in malicious}
-
-        self._store_increment(new_entities, stored_events, stored_malicious, report)
+        stored_events = (
+            self._incremental.ingest(event_list) if self._incremental is not None else event_list
+        )
+        self._store_increment(new_entities, stored_events, report)
         return report
 
     def flush(self) -> AppendReport:
@@ -238,13 +218,7 @@ class AuditStore:
         """
         report = AppendReport()
         if self._incremental is not None:
-            sealed = self._incremental.flush()
-            self._store_increment(
-                [],
-                [item.event for item in sealed],
-                {item.event.event_id for item in sealed if item.malicious},
-                report,
-            )
+            self._store_increment([], self._incremental.flush(), report)
         if isinstance(self.relational, SegmentedRelationalDatabase):
             self.relational.seal()
         return report
@@ -253,7 +227,6 @@ class AuditStore:
         self,
         new_entities: list[SystemEntity],
         stored_events: list[SystemEvent],
-        stored_malicious: set[int],
         report: AppendReport,
     ) -> None:
         relational = self.relational.append_batch(new_entities, stored_events)
@@ -263,43 +236,13 @@ class AuditStore:
         report.stored_events = stored_events
         if self._incremental is not None:
             report.pending_events = self._incremental.pending_count
-        self._known_entity_ids.update(entity.entity_id for entity in new_entities)
-
-        # Accumulate the (reduced) stored data into the held trace.  When the
-        # current trace is a caller's object (reduction disabled batch load),
-        # copy it first so appends never mutate caller-owned data.
-        if self._loaded_trace is None:
-            self._loaded_trace = AuditTrace(host=new_entities[0].host if new_entities else "localhost")
-            self._owns_loaded_trace = True
-        elif not self._owns_loaded_trace:
-            previous = self._loaded_trace
-            self._loaded_trace = AuditTrace(
-                host=previous.host,
-                entities=list(previous.entities),
-                events=list(previous.events),
-                malicious_event_ids=set(previous.malicious_event_ids),
-            )
-            self._owns_loaded_trace = True
-        self._loaded_trace.add_entities(new_entities)
-        self._loaded_trace.add_events(stored_events)
-        self._loaded_trace.malicious_event_ids.update(stored_malicious)
+        if report.appended_entities or report.appended_events:
+            self._generation += 1
 
     @property
     def pending_events(self) -> int:
         """Events buffered by the incremental reducer, not yet queryable."""
         return self._incremental.pending_count if self._incremental is not None else 0
-
-    @property
-    def loaded_trace(self) -> AuditTrace | None:
-        """The (possibly reduced) trace currently held by the store.
-
-        On the append path this convenience copy grows with every sealed
-        event, in addition to the backends' own storage — acceptable for the
-        bounded streams the tests and benchmarks replay, but an unbounded
-        ``--follow`` deployment that must not keep a third copy should read
-        the backends directly instead.
-        """
-        return self._loaded_trace
 
     def statistics(self) -> dict[str, Any]:
         """Combined backend statistics."""

@@ -70,6 +70,26 @@ DEFAULT_SORTED_INDEXES: dict[str, tuple[str, ...]] = {
     "events": ("starttime", "endtime"),
 }
 
+#: The audit tables by name.
+AUDIT_SCHEMAS: dict[str, TableSchema] = {"entities": ENTITY_SCHEMA, "events": EVENT_SCHEMA}
+
+
+def audit_table(name: str) -> Table:
+    """An empty audit table ``name`` carrying its default hash and sorted indexes.
+
+    Raises:
+        QueryError: for unknown table names.
+    """
+    schema = AUDIT_SCHEMAS.get(name)
+    if schema is None:
+        raise QueryError(f"unknown table {name!r}")
+    table = Table(schema)
+    for column in DEFAULT_HASH_INDEXES[name]:
+        table.create_hash_index(column)
+    for column in DEFAULT_SORTED_INDEXES[name]:
+        table.create_sorted_index(column)
+    return table
+
 
 class RelationalDatabase:
     """In-memory relational store for audit logging data."""
@@ -81,14 +101,12 @@ class RelationalDatabase:
 
     def clear(self) -> None:
         """Drop every row and rebuild the audit schema with fresh indexes."""
-        self._tables["entities"] = Table(ENTITY_SCHEMA)
-        self._tables["events"] = Table(EVENT_SCHEMA)
-        for table_name, columns in DEFAULT_HASH_INDEXES.items():
-            for column in columns:
-                self._tables[table_name].create_hash_index(column)
-        for table_name, columns in DEFAULT_SORTED_INDEXES.items():
-            for column in columns:
-                self._tables[table_name].create_sorted_index(column)
+        for name in AUDIT_SCHEMAS:
+            self.truncate(name)
+
+    def truncate(self, name: str) -> None:
+        """Drop every row of one audit table, keeping its schema and indexes."""
+        self._tables[name] = audit_table(name)
 
     # -- loading -----------------------------------------------------------
 

@@ -1,17 +1,17 @@
 """Durable, time-partitioned drop-in for :class:`RelationalDatabase`.
 
-:class:`SegmentedRelationalDatabase` keeps the exact query surface of the
-in-memory relational store — ``execute(SelectQuery)``, ``plan``, ``explain``,
-bulk and incremental loading — but persists events to disk:
+:class:`SegmentedRelationalDatabase` answers the same ``execute(SelectQuery)``
+and accepts the same bulk and incremental loads as the in-memory relational
+store, but persists events to disk:
 
-* Fresh rows land in an in-memory **memtable** (a plain indexed
-  :class:`~repro.storage.relational.table.Table`); once it reaches
-  ``segment_rows`` events it is **sealed** into an immutable on-disk segment
-  (:func:`~repro.storage.segment.segment.write_segment`) and published through
-  the atomic manifest.
+* The **memtable** is a :class:`~repro.storage.relational.database.RelationalDatabase`
+  holding every entity and the unsealed events.  Once it holds
+  ``segment_rows`` events they are **sealed** into an immutable on-disk
+  segment (:func:`~repro.storage.segment.segment.write_segment`), published
+  through the atomic manifest, and the memtable's events table is truncated.
 * ``SelectQuery`` execution **prunes** sealed segments whose min/max
   ``starttime`` footer stats cannot overlap the query's time window, then
-  delegates each surviving segment (and the memtable) to the existing
+  runs each surviving segment (and the memtable) through the existing
   vectorized column kernels and concatenates the partial results.  This is
   exact for TBQL pattern queries, which reference the ``events`` table exactly
   once: segments partition the events disjointly, entities are fully
@@ -19,51 +19,41 @@ bulk and incremental loading — but persists events to disk:
   partition.  Queries outside that shape (no or multiple events aliases,
   ``ORDER BY``, ``LIMIT``) fall back to a lazily built combined view.
 * Entities are small (bounded by distinct processes/files/hosts, not by event
-  volume), so they stay fully memory-resident and are additionally persisted
-  with each sealed segment; reopening a data directory rebuilds the entity
-  table and leaves event segments lazily mmapped until a query touches them.
+  volume), so they stay fully memory-resident; each seal also persists the
+  entity rows added since the previous one.  Reopening a data directory
+  rebuilds the entity table and leaves event segments lazily mmapped until a
+  query (or :meth:`SegmentedRelationalDatabase.event_rows`) touches them.
 """
 
 from __future__ import annotations
 
 import shutil
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.auditing.entities import SystemEntity
 from repro.auditing.events import SystemEvent
 from repro.auditing.trace import AuditTrace
 from repro.errors import QueryError, SegmentError
 from repro.storage.relational.database import (
-    DEFAULT_HASH_INDEXES,
-    DEFAULT_SORTED_INDEXES,
     ENTITY_SCHEMA,
     EVENT_SCHEMA,
+    RelationalDatabase,
+    audit_table,
 )
-from repro.storage.relational.executor import ExecutionPlan, QueryExecutor
+from repro.storage.relational.executor import QueryExecutor
 from repro.storage.relational.expression import range_lookups
 from repro.storage.relational.query import QueryResult, SelectQuery
-from repro.storage.relational.table import Table
+from repro.storage.relational.table import Row, Table
 from repro.storage.segment.manifest import SegmentManifest
 from repro.storage.segment.segment import SegmentReader, write_segment
 
 #: Default number of memtable events that triggers a seal.
 DEFAULT_SEGMENT_ROWS = 4096
 
-_SCHEMAS = {"entities": ENTITY_SCHEMA, "events": EVENT_SCHEMA}
-
-
-def _indexed_table(name: str) -> Table:
-    table = Table(_SCHEMAS[name])
-    for column in DEFAULT_HASH_INDEXES[name]:
-        table.create_hash_index(column)
-    for column in DEFAULT_SORTED_INDEXES[name]:
-        table.create_sorted_index(column)
-    return table
-
 
 class SegmentedRelationalDatabase:
-    """On-disk segmented relational store with the in-memory store's API.
+    """On-disk segmented relational store that loads and answers like the in-memory one.
 
     Args:
         data_dir: Directory holding the manifest and sealed segments.  Opening
@@ -82,15 +72,13 @@ class SegmentedRelationalDatabase:
         self._segment_rows = segment_rows
         self._manifest = SegmentManifest(data_dir)
         self._data_dir = self._manifest.directory
-        self._tables: dict[str, Table] = {
-            "entities": _indexed_table("entities"),
-            "events": _indexed_table("events"),
-        }
-        self._executor = QueryExecutor(self._tables)
+        self._memtable = RelationalDatabase()
+        #: Entity rows below this position of the (append-only) entity table
+        #: are already in a sealed segment.
+        self._sealed_entities = 0
         self._entries: list[dict[str, Any]] = []
         self._segments: list[SegmentReader] = []
         self._segment_executors: dict[str, QueryExecutor] = {}
-        self._unsealed_entities: list[dict[str, Any]] = []
         self._next_segment = 0
         self._combined: tuple[dict[str, Table], QueryExecutor] | None = None
         #: Cumulative segment-pruning counters, reset by :meth:`reset_scan_counters`.
@@ -119,32 +107,22 @@ class SegmentedRelationalDatabase:
                 raise SegmentError(
                     f"manifest references segment {name!r} but {directory} is missing"
                 )
-            reader = SegmentReader(
-                directory,
-                entry,
-                _SCHEMAS,
-                hash_indexes=DEFAULT_HASH_INDEXES,
-                sorted_indexes=DEFAULT_SORTED_INDEXES,
-            )
             self._entries.append(dict(entry))
-            self._segments.append(reader)
+            self._segments.append(SegmentReader(directory, entry))
             index = _segment_index(name)
             if index is not None:
                 self._next_segment = max(self._next_segment, index + 1)
         # Entities are memory-resident: rebuild the table from every sealed
         # segment's entity rows (eager and cheap — entity cardinality is tiny
         # next to event volume).
-        entities = self._tables["entities"]
-        seen: set[Any] = set()
+        entities = self._memtable.table("entities")
         for reader in self._segments:
-            for row in reader.table("entities").scan():
-                if row["id"] in seen:
-                    continue
-                seen.add(row["id"])
-                entities.insert(row)
-        # Rebuilt rows are already durable; only rows newer than the last
-        # seal belong in _unsealed_entities.
-        self._unsealed_entities = []
+            entities.insert_many(
+                row
+                for row in reader.table("entities").scan()
+                if not self._memtable.has_entity(row["id"])
+            )
+        self._sealed_entities = len(entities)
 
     def clear(self) -> None:
         """Drop all rows — memtable, sealed segments and manifest alike."""
@@ -156,79 +134,46 @@ class SegmentedRelationalDatabase:
         self._entries = []
         self._segments = []
         self._segment_executors = {}
-        self._unsealed_entities = []
         self._next_segment = 0
-        self._tables["entities"] = _indexed_table("entities")
-        self._tables["events"] = _indexed_table("events")
+        self._memtable.clear()
+        self._sealed_entities = 0
         self._invalidate_combined()
 
     # -- loading -------------------------------------------------------------
 
-    def load_entities(self, entities: Iterable[SystemEntity]) -> int:
-        rows = [entity.to_row() for entity in entities]
-        self._tables["entities"].insert_many(rows)
-        self._unsealed_entities.extend(rows)
-        return len(rows)
-
-    def load_events(self, events: Iterable[SystemEvent]) -> int:
-        # Insert in seal-threshold chunks rather than all at once: traces
-        # arrive in collection (≈time) order, so sealing as the memtable
-        # fills is what makes segments time-partitioned and prunable.
-        count = 0
-        memtable = self._tables["events"]
-        batch: list[dict[str, Any]] = []
-        for event in events:
-            batch.append(event.to_row())
-            if len(memtable) + len(batch) >= self._segment_rows:
-                count += memtable.insert_many(batch)
-                batch = []
-                self.seal()
-                memtable = self._tables["events"]
-        if batch:
-            count += memtable.insert_many(batch)
-        self._invalidate_combined()
-        self._maybe_seal()
-        return count
-
     def load_trace(self, trace: AuditTrace) -> dict[str, int]:
         return {
-            "entities": self.load_entities(trace.entities),
-            "events": self.load_events(trace.events),
+            "entities": self._memtable.load_entities(trace.entities),
+            "events": self._append_events(trace.events),
         }
-
-    # -- incremental loading ---------------------------------------------------
-
-    def has_entity(self, entity_id: int) -> bool:
-        table = self._tables["entities"]
-        return next(table.lookup_equal("id", entity_id), None) is not None
-
-    def append_entities(self, entities: Iterable[SystemEntity]) -> int:
-        count = 0
-        for entity in entities:
-            if not self.has_entity(entity.entity_id):
-                row = entity.to_row()
-                self._tables["entities"].insert(row)
-                self._unsealed_entities.append(row)
-                count += 1
-        return count
-
-    def append_events(self, events: Iterable[SystemEvent]) -> int:
-        return self.load_events(events)
 
     def append_batch(
         self, entities: Iterable[SystemEntity], events: Iterable[SystemEvent]
     ) -> dict[str, int]:
         return {
-            "entities": self.append_entities(entities),
-            "events": self.append_events(events),
+            "entities": self._memtable.append_entities(entities),
+            "events": self._append_events(events),
         }
 
-    # -- sealing ---------------------------------------------------------------
+    def _append_events(self, events: Iterable[SystemEvent]) -> int:
+        # Insert in seal-threshold chunks rather than all at once: traces
+        # arrive in collection (≈time) order, so sealing as the memtable
+        # fills is what makes segments time-partitioned and prunable.
+        count = 0
+        unsealed = len(self._memtable.table("events"))
+        batch: list[SystemEvent] = []
+        for event in events:
+            batch.append(event)
+            if unsealed + len(batch) >= self._segment_rows:
+                count += self._memtable.load_events(batch)
+                batch = []
+                self.seal()
+                unsealed = 0
+        count += self._memtable.load_events(batch)
+        self._invalidate_combined()
+        return count
 
-    @property
-    def memtable_events(self) -> int:
-        """Unsealed (memory-only) event rows."""
-        return len(self._tables["events"])
+    # -- sealing ---------------------------------------------------------------
 
     @property
     def sealed_segments(self) -> int:
@@ -239,10 +184,6 @@ class SegmentedRelationalDatabase:
         """The live sealed-segment readers, oldest first."""
         return tuple(self._segments)
 
-    def _maybe_seal(self) -> None:
-        if len(self._tables["events"]) >= self._segment_rows:
-            self.seal()
-
     def seal(self) -> str | None:
         """Seal the memtable into a new on-disk segment; returns its name.
 
@@ -251,44 +192,26 @@ class SegmentedRelationalDatabase:
         makes it visible, so a crash at any point leaves either the previous
         manifest (new directory = removable orphan) or the new one.
         """
-        memtable = self._tables["events"]
-        if not len(memtable) and not self._unsealed_entities:
+        events = self._memtable.table("events")
+        entities = self._memtable.table("entities")
+        if not len(events) and len(entities) == self._sealed_entities:
             return None
         name = f"seg-{self._next_segment:05d}"
-        event_rows = list(memtable.scan())
+        unsealed = self._sealed_entities
         tables = {
-            "events": (
-                EVENT_SCHEMA,
-                {
-                    column: [row[column] for row in event_rows]
-                    for column in EVENT_SCHEMA.column_names()
-                },
-            ),
+            "events": (EVENT_SCHEMA, events.column_store()),
             "entities": (
                 ENTITY_SCHEMA,
-                {
-                    # Entity rows arrive sparse (per-type attributes only);
-                    # absent columns are NULL, as in the normalized table.
-                    column: [row.get(column) for row in self._unsealed_entities]
-                    for column in ENTITY_SCHEMA.column_names()
-                },
+                {column: values[unsealed:] for column, values in entities.column_store().items()},
             ),
         }
         entry = write_segment(self._data_dir, name, tables)
         self._entries.append(entry)
         self._manifest.save(self._entries)
-        self._segments.append(
-            SegmentReader(
-                self._data_dir / name,
-                entry,
-                _SCHEMAS,
-                hash_indexes=DEFAULT_HASH_INDEXES,
-                sorted_indexes=DEFAULT_SORTED_INDEXES,
-            )
-        )
+        self._segments.append(SegmentReader(self._data_dir / name, entry))
         self._next_segment += 1
-        self._tables["events"] = _indexed_table("events")
-        self._unsealed_entities = []
+        self._memtable.truncate("events")
+        self._sealed_entities = len(entities)
         self._invalidate_combined()
         return name
 
@@ -300,19 +223,23 @@ class SegmentedRelationalDatabase:
         Raises:
             QueryError: for unknown table names.
         """
-        if name == "entities":
-            return self._tables["entities"]
-        if name == "events":
-            if not self._segments:
-                return self._tables["events"]
+        if name == "events" and self._segments:
             tables, _ = self._combined_view()
             return tables["events"]
-        raise QueryError(f"unknown table {name!r}")
+        return self._memtable.table(name)
+
+    def event_rows(self) -> Iterator[Row]:
+        """Every stored event row, partition by partition: sealed segments
+        oldest first, then the memtable.  Nothing is copied beyond the
+        segments' own (cached) materialized tables."""
+        for reader in self._segments:
+            yield from reader.table("events").scan()
+        yield from self._memtable.table("events").scan()
 
     def execute(self, query: SelectQuery) -> QueryResult:
         """Execute a select-project-join query across memtable and segments."""
         if not self._segments:
-            return self._executor.execute(query)
+            return self._memtable.execute(query)
         event_aliases = [ref.alias for ref in query.tables if ref.table == "events"]
         if len(event_aliases) != 1 or query.order_by or query.limit is not None:
             # Partition-wise execution is only exact for the single-events-
@@ -322,14 +249,6 @@ class SegmentedRelationalDatabase:
             return executor.execute(query)
         return self._execute_partitioned(query, event_aliases[0])
 
-    def plan(self, query: SelectQuery) -> ExecutionPlan:
-        """Plan a query (against the memtable's statistics) without executing."""
-        return self._executor.plan(query)
-
-    def explain(self, query: SelectQuery) -> list[str]:
-        """EXPLAIN-style plan description."""
-        return self._executor.explain(query)
-
     # -- statistics ------------------------------------------------------------
 
     def reset_scan_counters(self) -> None:
@@ -338,10 +257,10 @@ class SegmentedRelationalDatabase:
 
     def statistics(self) -> dict[str, Any]:
         """Per-table row/index stats plus segment-store health counters."""
-        stats = {name: table.statistics() for name, table in self._tables.items()}
+        stats = self._memtable.statistics()
         sealed = sum(reader.rows("events") for reader in self._segments)
+        stats["events"]["memtable_rows"] = stats["events"]["rows"]
         stats["events"]["rows"] += sealed
-        stats["events"]["memtable_rows"] = len(self._tables["events"])
         stats["segments"] = {
             "count": len(self._segments),
             "sealed_event_rows": sealed,
@@ -353,11 +272,7 @@ class SegmentedRelationalDatabase:
         return stats
 
     def __len__(self) -> int:
-        return (
-            len(self._tables["entities"])
-            + len(self._tables["events"])
-            + sum(reader.rows("events") for reader in self._segments)
-        )
+        return len(self._memtable) + sum(reader.rows("events") for reader in self._segments)
 
     # -- internal --------------------------------------------------------------
 
@@ -366,8 +281,8 @@ class SegmentedRelationalDatabase:
             "starttime", (None, None)
         )
         results: list[QueryResult] = []
-        if len(self._tables["events"]):
-            results.append(self._executor.execute(query))
+        if len(self._memtable.table("events")):
+            results.append(self._memtable.execute(query))
         for reader in self._segments:
             if not reader.overlaps_window(low, high):
                 self.segments_pruned += 1
@@ -377,7 +292,7 @@ class SegmentedRelationalDatabase:
         if not results:
             # Every partition pruned: run against the empty memtable so the
             # result still carries the query's column layout.
-            return self._executor.execute(query)
+            return self._memtable.execute(query)
         columns = results[0].columns
         rows: list[tuple[Any, ...]] = []
         for result in results:
@@ -390,7 +305,7 @@ class SegmentedRelationalDatabase:
         executor = self._segment_executors.get(reader.name)
         if executor is None:
             tables = {
-                "entities": self._tables["entities"],
+                "entities": self._memtable.table("entities"),
                 "events": reader.table("events"),
             }
             executor = QueryExecutor(tables)
@@ -400,11 +315,9 @@ class SegmentedRelationalDatabase:
     def _combined_view(self) -> tuple[dict[str, Table], QueryExecutor]:
         """Lazily materialize every event row into one indexed table."""
         if self._combined is None:
-            combined = _indexed_table("events")
-            for reader in self._segments:
-                combined.insert_many(reader.table("events").scan())
-            combined.insert_many(self._tables["events"].scan())
-            tables = {"entities": self._tables["entities"], "events": combined}
+            combined = audit_table("events")
+            combined.insert_many(self.event_rows())
+            tables = {"entities": self._memtable.table("entities"), "events": combined}
             self._combined = (tables, QueryExecutor(tables))
         return self._combined
 

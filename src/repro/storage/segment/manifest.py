@@ -9,19 +9,24 @@ durable.  A crash mid-seal therefore leaves either the old manifest (the new
 segment's files are unreferenced orphans, removed on the next open) or the
 new one (whose column files were fsynced before the publish) — never a
 half-visible segment.
+
+The manifest also carries a CRC32 over the canonical JSON of its segment
+list, so an edited or bit-rotted entry (a wrong ``min_starttime`` would
+silently prune live rows) fails the load instead of being trusted.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zlib
 from pathlib import Path
 from typing import Any
 
 from repro.errors import SegmentError
 
 #: Bump when the manifest layout changes incompatibly.
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
@@ -48,7 +53,7 @@ class SegmentManifest:
 
     def save(self, segments: list[dict[str, Any]]) -> Path:
         """Atomically publish ``segments`` as the live manifest."""
-        payload = {"version": MANIFEST_VERSION, "segments": segments}
+        payload = {"version": MANIFEST_VERSION, "segments": segments, "crc32": _crc32(segments)}
         data = json.dumps(payload, sort_keys=True)
         with open(self._tmp, "w", encoding="utf-8") as handle:
             handle.write(data)
@@ -62,15 +67,15 @@ class SegmentManifest:
         """The live segment list (empty when no manifest exists yet).
 
         Raises:
-            SegmentError: when a manifest exists but cannot be decoded or was
-                written by an incompatible version — a corrupt manifest must
-                never be treated as an empty store.
+            SegmentError: when a manifest exists but cannot be decoded, was
+                written by an incompatible version or fails its checksum — a
+                corrupt manifest must never be treated as an empty store.
         """
         if not self._path.exists():
             return []
         try:
             payload = json.loads(self._path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
             raise SegmentError(f"segment manifest {self._path} is corrupt: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("version") != MANIFEST_VERSION:
             raise SegmentError(
@@ -81,6 +86,8 @@ class SegmentManifest:
         segments = payload.get("segments")
         if not isinstance(segments, list):
             raise SegmentError(f"segment manifest {self._path} lists no segments array")
+        if payload.get("crc32") != _crc32(segments):
+            raise SegmentError(f"segment manifest {self._path} failed its CRC32 check")
         return segments
 
     # -- internal ------------------------------------------------------------
@@ -95,6 +102,11 @@ class SegmentManifest:
             os.fsync(fd)
         finally:
             os.close(fd)
+
+
+def _crc32(segments: list[dict[str, Any]]) -> int:
+    canonical = json.dumps(segments, sort_keys=True, separators=(",", ":"))
+    return zlib.crc32(canonical.encode("utf-8"))
 
 
 __all__ = ["MANIFEST_NAME", "MANIFEST_VERSION", "SegmentManifest"]

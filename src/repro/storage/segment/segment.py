@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import SegmentError
+from repro.storage.relational.database import AUDIT_SCHEMAS, audit_table
 from repro.storage.relational.table import Table, TableSchema
 from repro.storage.segment.columnio import ColumnReader, write_int_column, write_string_column
 
@@ -90,24 +91,11 @@ class SegmentReader:
     Args:
         directory: The segment's directory (``<data_dir>/<name>``).
         entry: The manifest entry describing it.
-        schemas: Table name → schema, for materialization.
-        hash_indexes: Columns to hash-index on materialized tables.
-        sorted_indexes: Columns to sort-index on materialized tables.
     """
 
-    def __init__(
-        self,
-        directory: Path,
-        entry: Mapping[str, Any],
-        schemas: Mapping[str, TableSchema],
-        hash_indexes: Mapping[str, tuple[str, ...]] | None = None,
-        sorted_indexes: Mapping[str, tuple[str, ...]] | None = None,
-    ) -> None:
+    def __init__(self, directory: Path, entry: Mapping[str, Any]) -> None:
         self._directory = directory
         self._entry = dict(entry)
-        self._schemas = dict(schemas)
-        self._hash_indexes = dict(hash_indexes or {})
-        self._sorted_indexes = dict(sorted_indexes or {})
         self._tables: dict[str, Table] = {}
 
     @property
@@ -164,7 +152,7 @@ class SegmentReader:
         cached = self._tables.get(table_name)
         if cached is not None:
             return cached
-        schema = self._schemas.get(table_name)
+        schema = AUDIT_SCHEMAS.get(table_name)
         if schema is None:
             raise SegmentError(f"segment {self.name} has no table {table_name!r}")
         expected = self.rows(table_name)
@@ -176,11 +164,7 @@ class SegmentReader:
                     f"segment {self.name} is missing column file {path.name}"
                 )
             columns[definition.name] = ColumnReader(path, expected_rows=expected).values()
-        table = Table(schema)
-        for column in self._hash_indexes.get(table_name, ()):
-            table.create_hash_index(column)
-        for column in self._sorted_indexes.get(table_name, ()):
-            table.create_sorted_index(column)
+        table = audit_table(table_name)
         names = schema.column_names()
         table.insert_many(
             {name: columns[name][position] for name in names} for position in range(expected)

@@ -11,7 +11,7 @@ matches what a whole-trace batch load would have produced.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import ConfigurationError
@@ -44,14 +44,11 @@ class IngestedBatch:
     Attributes:
         index: 0-based batch sequence number.
         report: What the store actually appended (after reduction).
-        malicious_event_ids: Ground-truth labels carried by the batch's
-            records, for evaluation harnesses.
         seconds: Wall-clock time spent appending the batch.
     """
 
     index: int
     report: AppendReport
-    malicious_event_ids: set[int] = field(default_factory=set)
     seconds: float = 0.0
 
     @property
@@ -98,10 +95,7 @@ class StreamIngestor:
         entities = []
         for record in record_list:
             entities.extend(record.entities())
-        malicious = {record.event.event_id for record in record_list if record.malicious}
-        report = self._store.append_batch(
-            entities, [record.event for record in record_list], malicious_event_ids=malicious
-        )
+        report = self._store.append_batch(entities, [record.event for record in record_list])
         elapsed = time.perf_counter() - started
 
         self.statistics.batches += 1
@@ -109,12 +103,7 @@ class StreamIngestor:
         self.statistics.events_stored += report.appended_events
         self.statistics.entities_stored += report.appended_entities
         self.statistics.seconds += elapsed
-        return IngestedBatch(
-            index=self.statistics.batches - 1,
-            report=report,
-            malicious_event_ids=malicious,
-            seconds=elapsed,
-        )
+        return IngestedBatch(index=self.statistics.batches - 1, report=report, seconds=elapsed)
 
     def ingest_stream(self, records: Iterable[StreamRecord]) -> Iterator[IngestedBatch]:
         """Consume a record stream, yielding one :class:`IngestedBatch` each."""

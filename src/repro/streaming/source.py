@@ -52,14 +52,11 @@ class StreamRecord:
         event: The audited system event.
         subject: The acting process entity.
         obj: The object entity (file, process or network connection).
-        malicious: Ground-truth label when the source knows it (replay of a
-            simulated trace); always ``False`` for parsed logs.
     """
 
     event: SystemEvent
     subject: SystemEntity
     obj: SystemEntity
-    malicious: bool = False
 
     def entities(self) -> tuple[SystemEntity, SystemEntity]:
         return (self.subject, self.obj)
@@ -287,9 +284,9 @@ class ReplaySource(EventSource):
 
     The source drives the existing workload generator output
     (:class:`~repro.auditing.workload.generator.SimulationResult` or a bare
-    :class:`~repro.auditing.trace.AuditTrace`) through the streaming pipeline,
-    carrying the ground-truth malicious labels along so evaluation harnesses
-    can score live hunts.
+    :class:`~repro.auditing.trace.AuditTrace`) through the streaming pipeline.
+    Ground-truth labels stay on the trace, where evaluation harnesses score
+    live hunts against them.
 
     Args:
         trace: The trace (or simulation result exposing ``.trace``) to replay.
@@ -341,7 +338,6 @@ class ReplaySource(EventSource):
                 event=event,
                 subject=trace.entity(event.subject_id),
                 obj=trace.entity(event.object_id),
-                malicious=event.event_id in trace.malicious_event_ids,
             )
             self.position += 1
 

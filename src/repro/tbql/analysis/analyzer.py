@@ -69,12 +69,13 @@ class StaticAnalyzer:
         policy: Severity/threshold policy; :meth:`AnalysisPolicy.default`
             when omitted.
 
-    Reports are memoized per (formatted query text, store event count):
+    Reports are memoized per (formatted query text, store generation):
     the admission gate analyzes the same query at corpus registration, at
     monitor registration and again at plan preparation, and a frozen
     :class:`AnalysisReport` is safe to share between those callers.  The
-    event count invalidates cached cost diagnostics when the store grows;
-    stores without the :class:`AuditStore` shape never hit the cache.
+    store's :attr:`~repro.storage.loader.AuditStore.generation` invalidates
+    cached cost diagnostics whenever the stored rows change; stores without
+    one never hit the cache.
     """
 
     _CACHE_LIMIT = 128
@@ -99,13 +100,12 @@ class StaticAnalyzer:
         """A cheap equality token for the store's analyzer-visible state."""
         if self._store is None:
             return None
-        if not hasattr(self._store, "loaded_trace"):
+        generation = getattr(self._store, "generation", None)
+        if generation is None:
             # Unknown store shape — no way to detect staleness, so make the
             # token unique and let every lookup miss.
             return object()
-        trace = self._store.loaded_trace
-        count = len(trace.events) if trace is not None else 0
-        return (id(self._store), count)
+        return generation
 
     def analyze(
         self, query: Query | str, analyzed: AnalyzedQuery | None = None

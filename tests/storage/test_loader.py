@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.auditing.workload.base import ScenarioBuilder
 from repro.auditing.workload.benign import NoisyFileServerWorkload, WebServerWorkload
 from repro.storage.loader import AuditStore
+from repro.tbql.executor import TBQLExecutionEngine
 
 
 def _bursty_trace():
@@ -12,6 +13,10 @@ def _bursty_trace():
     NoisyFileServerWorkload(sessions=3, operations_per_session=40).generate(builder)
     WebServerWorkload(requests=10).generate(builder)
     return builder.build()
+
+
+def _stored_event_ids(store: AuditStore) -> set[int]:
+    return {row["id"] for row in store.relational.table("events").scan()}
 
 
 class TestAuditStore:
@@ -22,7 +27,7 @@ class TestAuditStore:
         assert report.relational_rows["events"] == len(trace.events)
         assert report.graph_counts["edges"] == len(trace.events)
         assert report.reduction is None
-        assert store.loaded_trace is trace
+        assert _stored_event_ids(store) == {event.event_id for event in trace.events}
 
     def test_reduction_applied_by_default(self):
         trace = _bursty_trace()
@@ -44,6 +49,23 @@ class TestAuditStore:
         relational_entities = len(store.relational.table("entities"))
         assert relational_entities == store.graph.node_count()
 
+    def test_reduced_store_answers_like_the_raw_store(self):
+        builder = ScenarioBuilder(seed=31)
+        NoisyFileServerWorkload(sessions=3, operations_per_session=30).generate(builder)
+        trace = builder.build()
+        query = (
+            'proc p["%/usr/sbin/smbd%"] read file f as e1 proc p send ip c as e2 '
+            "with e1 before e2 return distinct p, f, c"
+        )
+        raw_store = AuditStore(apply_reduction=False)
+        raw_store.load_trace(trace)
+        reduced_store = AuditStore()
+        reduced_store.load_trace(trace)
+        raw = TBQLExecutionEngine(raw_store).execute(query)
+        reduced = TBQLExecutionEngine(reduced_store).execute(query)
+        assert raw.rows and set(raw.rows) == set(reduced.rows)
+        assert len(reduced_store.relational.table("events")) < len(trace.events)
+
     def test_statistics_structure(self):
         store = AuditStore()
         store.load_trace(_bursty_trace())
@@ -53,7 +75,7 @@ class TestAuditStore:
 
     def test_empty_store(self):
         store = AuditStore()
-        assert store.loaded_trace is None
+        assert len(store.relational) == 0
         stats = store.statistics()
         assert stats["graph"]["nodes"] == 0
 
@@ -76,7 +98,7 @@ class TestRepeatedLoads:
         assert store.graph.edge_count() == len(second.events)
         assert len(store.relational.table("entities")) == len(second.entities)
         assert store.graph.node_count() == len(second.entities)
-        assert store.loaded_trace is second
+        assert _stored_event_ids(store) == {event.event_id for event in second.events}
 
     def test_double_load_same_trace_is_idempotent(self):
         trace = _bursty_trace()
@@ -116,12 +138,13 @@ class TestRepeatedLoads:
         events_before = len(first.events)
         store.load_trace(second, append=True)
         assert len(first.events) == events_before
-        assert store.loaded_trace is not first
+        both = first.events + second.events
+        assert _stored_event_ids(store) == {event.event_id for event in both}
 
     def test_reset_empties_both_backends(self):
         store = AuditStore()
         store.load_trace(_bursty_trace())
         store.reset()
-        assert store.loaded_trace is None
+        assert len(store.relational) == 0
         assert len(store.relational.table("events")) == 0
         assert store.graph.node_count() == 0

@@ -9,9 +9,15 @@ never half-read).
 
 from __future__ import annotations
 
+import functools
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.auditing.entities import FileEntity, ProcessEntity
 from repro.auditing.events import EntityType, Operation, SystemEvent
@@ -131,6 +137,21 @@ class TestManifestCorruption:
         with pytest.raises(SegmentError):
             SegmentedRelationalDatabase(tmp_path, segment_rows=8)
 
+    def test_tampered_pruning_stats_are_rejected(self, tmp_path):
+        """Regression: an edited ``min/max_starttime`` is still valid JSON, and
+        trusting it silently pruned a live segment (28 of 32 rows returned)."""
+        database = SegmentedRelationalDatabase(tmp_path, segment_rows=8)
+        database.load_trace(_trace(events=64))
+        database.seal()
+        assert len(database.execute(_windowed_join_query()).rows) == 32
+        manifest_path = tmp_path / MANIFEST_NAME
+        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+        [first] = [entry for entry in payload["segments"] if entry["name"] == "seg-00000"]
+        first["min_starttime"] = first["max_starttime"] = 10**12
+        manifest_path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SegmentError, match="CRC32"):
+            SegmentedRelationalDatabase(tmp_path, segment_rows=8)
+
     def test_manifest_referencing_missing_segment_rejected(self, tmp_path):
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=8)
         database.load_trace(_trace())
@@ -164,14 +185,24 @@ class TestSealedSegmentImmutability:
             for segment in database.segment_readers
             for path in sorted((tmp_path / segment.name).iterdir())
         }
-        database.append_events(
-            [
-                SystemEvent(900, 1, 4, Operation.WRITE, EntityType.FILE, 99_000, 99_100, 64),
-            ]
+        database.append_batch(
+            [], [SystemEvent(900, 1, 4, Operation.WRITE, EntityType.FILE, 99_000, 99_100, 64)]
         )
         database.seal()
         for path, blob in snapshot.items():
             assert path.read_bytes() == blob, f"sealed file {path.name} was rewritten"
+
+    def test_each_seal_persists_only_entities_added_since_the_last(self, tmp_path):
+        database = SegmentedRelationalDatabase(tmp_path, segment_rows=1_000)
+        database.load_trace(_trace(events=10))
+        database.seal()
+        assert database.seal() is None  # nothing unsealed
+        database.append_batch([FileEntity(entity_id=5, name="/tmp/late")], [])
+        database.seal()
+        assert [reader.rows("entities") for reader in database.segment_readers] == [4, 1]
+        assert database.statistics()["events"]["memtable_rows"] == 0
+        reopened = SegmentedRelationalDatabase(tmp_path, segment_rows=1_000)
+        assert sorted(row["id"] for row in reopened.table("entities").scan()) == [1, 2, 3, 4, 5]
 
     def test_results_match_in_memory_store(self, tmp_path):
         trace = _trace(events=60)
@@ -206,11 +237,26 @@ class TestRestartSurvival:
         baseline = store.relational.execute(_join_query())
 
         reopened = AuditStore(storage="segments", data_dir=tmp_path, apply_reduction=False)
-        assert reopened.loaded_trace is not None
-        assert len(reopened.loaded_trace.events) == len(trace.events)
+        stored = {row["id"] for row in reopened.relational.event_rows()}
+        assert stored == {event.event_id for event in trace.events}
         assert reopened.graph.edge_count() == store.graph.edge_count()
         result = reopened.relational.execute(_join_query())
         assert sorted(result.rows) == sorted(baseline.rows)
+
+    def test_reopen_streams_rows_without_a_combined_view(self, tmp_path, monkeypatch):
+        store = AuditStore(storage="segments", data_dir=tmp_path, segment_rows=8)
+        store.load_trace(_trace(events=50))
+        store.flush()
+
+        def refuse(_self):
+            raise AssertionError("reopen built the combined events view")
+
+        monkeypatch.setattr(SegmentedRelationalDatabase, "_combined_view", refuse)
+        reopened = AuditStore(storage="segments", data_dir=tmp_path, segment_rows=8)
+        assert reopened.graph.edge_count() == store.graph.edge_count()
+        assert reopened.graph.node_count() == store.graph.node_count()
+        result = reopened.relational.execute(_join_query())
+        assert sorted(result.rows) == sorted(store.relational.execute(_join_query()).rows)
 
     def test_orphan_staging_dir_from_crashed_seal_is_cleaned(self, tmp_path):
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=8)
@@ -251,3 +297,62 @@ class TestCrashDuringSegmentedHunt:
         assert outcome.resumed
         assert outcome.journal_bytes == baseline_bytes
         assert outcome.matched == baseline_matched
+
+
+def _windowed_join_query() -> SelectQuery:
+    """``_join_query`` over a window holding every event: pruning stats matter."""
+    query = _join_query()
+    query.add_filter("e", Between(Column("starttime"), 0, 10**9))
+    return query
+
+
+@functools.cache
+def _sealed_template() -> tuple[tempfile.TemporaryDirectory[str], list[tuple]]:
+    """A flushed segmented store (built once) and its windowed join rows."""
+    directory = tempfile.TemporaryDirectory(prefix="segfuzz-")
+    store = AuditStore(
+        storage="segments", data_dir=directory.name, apply_reduction=False, segment_rows=8
+    )
+    store.load_trace(_trace(events=24))
+    store.flush()
+    return directory, sorted(store.relational.execute(_windowed_join_query()).rows)
+
+
+class TestCorruptionFuzz:
+    """One flipped, dropped or cut byte in ``manifest.json`` or any column file
+    of a sealed store: reopening either raises :class:`SegmentError` or answers
+    exactly as before — never another exception, never a different row set."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from(["flip", "drop", "cut"]),
+        st.integers(min_value=1, max_value=255),
+    )
+    def test_reopen_raises_segment_error_or_answers_exactly(self, data, mode, mask):
+        directory, expected = _sealed_template()
+        template = Path(directory.name)
+        files = sorted(
+            path.relative_to(template).as_posix()
+            for path in template.rglob("*")
+            if path.is_file()
+        )
+        victim = data.draw(st.sampled_from(files), label="file")
+        with tempfile.TemporaryDirectory(prefix="segfuzz-") as workdir:
+            copy = Path(workdir) / "data"
+            shutil.copytree(template, copy)
+            blob = bytearray((copy / victim).read_bytes())
+            position = data.draw(st.integers(0, len(blob) - 1), label="position")
+            if mode == "flip":
+                blob[position] ^= mask
+            elif mode == "drop":
+                del blob[position]
+            else:
+                del blob[position:]
+            (copy / victim).write_bytes(bytes(blob))
+            try:
+                reopened = AuditStore(storage="segments", data_dir=copy, segment_rows=8)
+                rows = sorted(reopened.relational.execute(_windowed_join_query()).rows)
+            except SegmentError:
+                return
+            assert rows == expected

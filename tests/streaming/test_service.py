@@ -66,6 +66,25 @@ class TestStreamingHuntEquivalence:
         service, _, _ = _run_streaming(simulation, batch_size)
         assert service.matched_event_ids("figure2") == batch_matched
 
+    def test_windowed_evaluation_is_a_subset_of_full_reexecution(self, simulation):
+        """After the last batch, the watermark-windowed hunt matches nothing a
+        full re-execution over the whole store would not."""
+        batch_size = 64
+        service = ThreatRaptor().watch(FIGURE2_REPORT.text, name="figure2", batch_size=batch_size)
+        records = list(ReplaySource(simulation).records())
+        head, tail = records[:-batch_size], records[-batch_size:]
+        for start in range(0, len(head), batch_size):
+            service.process_batch(head[start : start + batch_size])
+        final = service._ingestor.ingest(tail)
+        service._ingestor.flush()  # seal what the reducer still holds
+        [standing] = service.hunts
+        overrides = service._monitor._window_overrides(standing, final.watermark_start_ns)
+        assert overrides, "watermark windowing must have applied"
+        windowed = standing.prepared.execute(window_overrides=overrides)
+        full = standing.prepared.execute()
+        assert full.all_matched_event_ids()
+        assert windowed.all_matched_event_ids() <= full.all_matched_event_ids()
+
 
 class TestHuntingService:
     def test_register_requires_exactly_one_source(self):

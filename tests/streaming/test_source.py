@@ -30,11 +30,6 @@ class TestReplaySource:
         starts = [record.event.start_time for record in records]
         assert starts == sorted(starts)
 
-    def test_carries_malicious_labels(self, simulation):
-        records = list(ReplaySource(simulation).records())
-        labelled = {record.event.event_id for record in records if record.malicious}
-        assert labelled == simulation.trace.malicious_event_ids
-
     def test_record_entities_match_event_endpoints(self, simulation):
         record = next(iter(ReplaySource(simulation.trace)))
         assert record.subject.entity_id == record.event.subject_id

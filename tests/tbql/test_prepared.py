@@ -190,6 +190,11 @@ class TestPlanCache:
         assert all("shapes" not in info for info in infos)
 
 
+def _median_start_time(store) -> int:
+    starts = sorted(store.relational.table("events").column_array("starttime"))
+    return starts[len(starts) // 2]
+
+
 class TestWindowOverrides:
     def test_override_narrows_results_like_a_windowed_query(self, engine, store):
         prepared = engine.prepare(SINGLE_PATTERN_QUERY)
@@ -205,8 +210,7 @@ class TestWindowOverrides:
         assert set(unbounded.rows) == set(everything.rows)
 
     def test_override_matches_explicitly_windowed_query(self, engine, store):
-        events = store.loaded_trace.events
-        cutoff = sorted(event.start_time for event in events)[len(events) // 2]
+        cutoff = _median_start_time(store)
         prepared = engine.prepare(SINGLE_PATTERN_QUERY)
         overridden = prepared.execute(
             window_overrides={"e1": TimeWindow(cutoff, 2**62)}
@@ -274,8 +278,7 @@ class TestGraphPlanCache:
         assert prepared.cache_info()["hits"] > hits_before
 
     def test_window_override_reaches_the_graph_pattern(self, graph_engine, store):
-        events = store.loaded_trace.events
-        cutoff = sorted(event.start_time for event in events)[len(events) // 2]
+        cutoff = _median_start_time(store)
         prepared = graph_engine.prepare(SINGLE_PATTERN_QUERY)
         everything = prepared.execute()
         windowed = prepared.execute(

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.auditing.entities import FileEntity, ProcessEntity
+from repro.auditing.events import EntityType, Operation, SystemEvent
+from repro.auditing.trace import AuditTrace
 from repro.core.config import ThreatRaptorConfig
 from repro.core.pipeline import ThreatRaptor
 from repro.data.osctireports import corpus_variants
@@ -17,7 +20,7 @@ from repro.errors import ConfigurationError, ExecutionError, TBQLAnalysisError
 from repro.intel.corpus import ReportCorpus
 from repro.scenarios import generate_campaigns
 from repro.storage.loader import AuditStore
-from repro.tbql.analysis import analyze_query
+from repro.tbql.analysis import AnalysisPolicy, StaticAnalyzer, analyze_query
 from repro.tbql.executor import TBQLExecutionEngine
 
 CONTRADICTORY = 'proc p["x"] read file f[id > 100 and id < 10] as e1 return p, f'
@@ -234,3 +237,50 @@ class TestBundledHuntsLintClean:
             assert not report.has_errors(), (
                 f"{corpus_report.report_id}: {report.render()}"
             )
+
+
+def _one_edge_trace(operation: Operation, events: int = 20) -> AuditTrace:
+    """``events`` events of one operation between one process and one file."""
+    entities = [
+        ProcessEntity(entity_id=1, exename="/bin/p", pid=1),
+        FileEntity(entity_id=2, name="/tmp/f"),
+    ]
+    rows = [
+        SystemEvent(index + 1, 1, 2, operation, EntityType.FILE, 100 * index, 100 * index + 1)
+        for index in range(events)
+    ]
+    return AuditTrace(entities=entities, events=rows)
+
+
+class TestAnalyzerCacheFollowsTheStore:
+    QUERY = "proc p read file f return p"
+    POLICY = AnalysisPolicy(scan_row_threshold=10)
+
+    def test_reload_of_the_same_size_refreshes_cost_diagnostics(self):
+        """Regression: the cache token was the stored event count, so a
+        reload of equally many events served the old store's TR304."""
+        store = AuditStore(apply_reduction=False)
+        analyzer = StaticAnalyzer(store=store, policy=self.POLICY)
+        store.load_trace(_one_edge_trace(Operation.READ))
+        assert "TR304" in analyzer.analyze(self.QUERY).rules()
+        store.load_trace(_one_edge_trace(Operation.WRITE))
+        assert "TR304" not in StaticAnalyzer(store=store, policy=self.POLICY).analyze(
+            self.QUERY
+        ).rules()
+        assert "TR304" not in analyzer.analyze(self.QUERY).rules()
+
+    def test_generation_advances_exactly_when_rows_change(self):
+        store = AuditStore(apply_reduction=False)
+        trace = _one_edge_trace(Operation.READ)
+        before = store.generation
+        store.load_trace(trace)
+        assert store.generation > before
+        loaded = store.generation
+        store.append_batch(trace.entities, [])  # known entities, no events
+        assert store.generation == loaded
+        late = SystemEvent(99, 1, 2, Operation.WRITE, EntityType.FILE, 10_000, 10_001)
+        store.append_batch([], [late])
+        assert store.generation > loaded
+        appended = store.generation
+        store.reset()
+        assert store.generation > appended

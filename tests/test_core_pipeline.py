@@ -148,7 +148,7 @@ class TestEndToEndHunt:
         matched = report.result.all_matched_event_ids()
         assert truth.event_ids <= matched
 
-    def test_hunt_without_loaded_trace_returns_empty(self):
+    def test_hunt_on_an_empty_store_returns_empty(self):
         raptor = ThreatRaptor()
         report = raptor.hunt(FIGURE2_REPORT.text)
         assert len(report.result) == 0

@@ -187,3 +187,22 @@ class TestImportBoundaryCheck:
             assert "PreparedQuery" in violation.message
         for inside in ("tbql/prepared.py", "tbql/analysis/portability.py"):
             assert invariants.check_import_boundaries(path, tree, inside) == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.storage.segment import SegmentedRelationalDatabase\n",
+            "from repro.storage.segment.manifest import SegmentManifest\n",
+            "def f():\n    from repro.storage import segment\n",
+            "from repro.storage.relational.executor import QueryExecutor\n",
+            "import repro.storage.relational.executor\n",
+        ],
+    )
+    def test_only_storage_imports_segments_and_the_executor(self, invariants, source):
+        tree = ast.parse(source)
+        path = Path("synthetic.py")
+        for outside in ("tbql/prepared.py", "streaming/monitor.py", "core/pipeline.py"):
+            [violation] = invariants.check_import_boundaries(path, tree, outside)
+            assert "AuditStore" in violation.message
+        for inside in ("storage/loader.py", "storage/segment/database.py"):
+            assert invariants.check_import_boundaries(path, tree, inside) == []
