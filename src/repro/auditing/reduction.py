@@ -199,6 +199,8 @@ class IncrementalReducer:
         self._merge_window_ns = merge_window_ns
         self._pending: dict[tuple[int, int, str], _PendingEdge] = {}
         self._pending_by_entity: dict[int, set[tuple[int, int, str]]] = defaultdict(set)
+        #: Event ids of the pending representatives (a merge keeps the id).
+        self._pending_ids: set[int] = set()
         self._watermark_ns: int | None = None
         self.events_seen = 0
         self.events_emitted = 0
@@ -207,6 +209,11 @@ class IncrementalReducer:
     def pending_count(self) -> int:
         """Events currently buffered awaiting a merge decision."""
         return len(self._pending)
+
+    def is_pending(self, event_id: int) -> bool:
+        """True when an event with ``event_id`` is buffered awaiting a merge
+        decision (as the representative of its edge)."""
+        return event_id in self._pending_ids
 
     @property
     def watermark_ns(self) -> int | None:
@@ -243,6 +250,7 @@ class IncrementalReducer:
                 sealed.append(self._seal(edge))
 
             self._pending[edge] = _PendingEdge(representative=event, last_end=event.end_time)
+            self._pending_ids.add(event.event_id)
             self._pending_by_entity[event.subject_id].add(edge)
             self._pending_by_entity[event.object_id].add(edge)
             self._advance_watermark(event.start_time)
@@ -272,6 +280,7 @@ class IncrementalReducer:
 
     def _seal(self, edge: tuple[int, int, str]) -> SystemEvent:
         pending = self._pending.pop(edge)
+        self._pending_ids.discard(pending.representative.event_id)
         for entity_id in (edge[0], edge[1]):
             edges = self._pending_by_entity.get(entity_id)
             if edges is not None:

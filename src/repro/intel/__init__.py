@@ -9,9 +9,9 @@ streaming/standing-hunt back half:
 * :class:`~repro.intel.corpus.ReportCorpus` loads report corpora — the
   bundled annotated set, deterministic feed-variant expansions, directories
   of text files, JSONL feed dumps;
-* :class:`~repro.intel.extractor.CorpusExtractor` runs extraction over the
-  whole corpus with one shared memoized pipeline setup, byte-identical-text
-  dedup and per-report failure isolation;
+* :class:`~repro.intel.extractor.CorpusExtractor` runs one extraction
+  pipeline over the whole corpus with byte-identical-text dedup and
+  per-report failure isolation;
 * :class:`~repro.intel.hunt.CorpusHuntPlanner` canonicalizes every
   synthesized query (:mod:`repro.tbql.canonical`) so semantically equivalent
   queries from overlapping reports register as **one** standing hunt in the
@@ -23,12 +23,7 @@ The :meth:`repro.core.pipeline.ThreatRaptor.hunt_corpus` facade and the CLI
 """
 
 from repro.intel.corpus import CorpusReport, ReportCorpus
-from repro.intel.extractor import (
-    CorpusExtraction,
-    CorpusExtractor,
-    ReportExtraction,
-    shared_extractor,
-)
+from repro.intel.extractor import CorpusExtraction, CorpusExtractor, ReportExtraction
 from repro.intel.hunt import CorpusHunt, CorpusHuntPlanner, CorpusHuntResult
 
 __all__ = [
@@ -40,5 +35,4 @@ __all__ = [
     "CorpusReport",
     "ReportCorpus",
     "ReportExtraction",
-    "shared_extractor",
 ]

@@ -1,15 +1,11 @@
 """Corpus-scale threat behavior extraction.
 
-:class:`CorpusExtractor` runs the single-report
-:class:`~repro.nlp.extractor.ThreatBehaviorExtractor` over many OSCTI reports
-at once:
-
-* **Shared memoized setup** — the extractor (tokenizer, POS lexicons,
-  dependency parser, coreference resolver) is built once per configuration
-  and reused for every report, instead of being rebuilt per report.
-* **Duplicate-text dedup** — real feeds republish the same advisory; reports
-  whose text is byte-identical are extracted once and share the result, with
-  hits counted so the saving is observable.
+:class:`CorpusExtractor` runs one single-report extraction pipeline (a
+:class:`~repro.nlp.extractor.ThreatBehaviorExtractor`, normally the one a
+:class:`~repro.core.pipeline.ThreatRaptor` already holds) over many OSCTI
+reports at once.  Real feeds republish the same advisory, so reports whose
+text is byte-identical are extracted once and share the result, with hits
+counted so the saving is observable.
 
 Failures are isolated per report: one malformed report records an error entry
 instead of aborting the corpus.
@@ -20,41 +16,10 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.intel.corpus import CorpusReport, ReportCorpus
-from repro.nlp.extractor import ExtractionResult, ThreatBehaviorExtractor
-
-#: Hashable extractor configuration: (resolve_nominal_coreference,
-#: protect_iocs_enabled, resolve_coreference, simplify_trees).
-ExtractorFlags = tuple[bool, bool, bool, bool]
-
-DEFAULT_FLAGS: ExtractorFlags = (False, True, True, True)
-
-
-@lru_cache(maxsize=None)
-def shared_extractor(flags: ExtractorFlags = DEFAULT_FLAGS) -> ThreatBehaviorExtractor:
-    """The memoized extraction pipeline for one configuration."""
-    resolve_nominal, protect, coref, simplify = flags
-    return ThreatBehaviorExtractor(
-        resolve_nominal_coreference=resolve_nominal,
-        protect_iocs_enabled=protect,
-        resolve_coreference=coref,
-        simplify_trees=simplify,
-    )
-
-
-def _extract_text(flags: ExtractorFlags, text: str) -> tuple[float, ExtractionResult]:
-    """Extract one report text, timing the run.
-
-    The dependency trees are dropped: they are large and the corpus pipeline
-    only consumes graphs, relations and IOCs.
-    """
-    started = time.perf_counter()
-    result = shared_extractor(flags).extract(text)
-    result.trees = []
-    return (time.perf_counter() - started, result)
+from repro.nlp.extractor import ExtractionResult
 
 
 @dataclass
@@ -107,21 +72,18 @@ class CorpusExtraction:
 
 
 class CorpusExtractor:
-    """Runs the extraction pipeline over a corpus of OSCTI reports.
+    """Runs an extraction pipeline over a corpus of OSCTI reports.
+
+    Byte-identical report texts are extracted once and share the result
+    (hits are counted in :attr:`CorpusExtraction.cache_hits`).
 
     Args:
-        dedup_texts: Extract byte-identical report texts once and share the
-            result (hits are counted in :attr:`CorpusExtraction.cache_hits`).
-        resolve_nominal_coreference: Forwarded to the extraction pipeline.
+        extract: The single-report pipeline, e.g.
+            :meth:`~repro.core.pipeline.ThreatRaptor.extract_behavior_graph`.
     """
 
-    def __init__(
-        self,
-        dedup_texts: bool = True,
-        resolve_nominal_coreference: bool = False,
-    ) -> None:
-        self.dedup_texts = dedup_texts
-        self._flags: ExtractorFlags = (resolve_nominal_coreference, True, True, True)
+    def __init__(self, extract: Callable[[str], ExtractionResult]) -> None:
+        self._extract = extract
 
     # -- public API ----------------------------------------------------------
 
@@ -136,11 +98,7 @@ class CorpusExtractor:
         # Group identical texts so each distinct text is extracted exactly once.
         members: dict[str, list[CorpusReport]] = {}
         for report in reports:
-            key = (
-                hashlib.sha256(report.text.encode("utf-8")).hexdigest()
-                if self.dedup_texts
-                else report.report_id
-            )
+            key = hashlib.sha256(report.text.encode("utf-8")).hexdigest()
             members.setdefault(key, []).append(report)
 
         cache_hits = 0
@@ -172,18 +130,18 @@ class CorpusExtractor:
     def _extract_one(
         self, text: str
     ) -> tuple[float, ExtractionResult | None, str | None]:
+        """Extract one report text, timing the run.
+
+        The dependency trees are dropped: they are large and the corpus
+        pipeline only consumes graphs, relations and IOCs.
+        """
+        started = time.perf_counter()
         try:
-            seconds, result = _extract_text(self._flags, text)
-            return (seconds, result, None)
+            result = self._extract(text)
         except Exception as exc:  # noqa: BLE001 - isolate per report
             return (0.0, None, f"{type(exc).__name__}: {exc}")
+        result.trees = []
+        return (time.perf_counter() - started, result, None)
 
 
-__all__ = [
-    "CorpusExtraction",
-    "CorpusExtractor",
-    "DEFAULT_FLAGS",
-    "ExtractorFlags",
-    "ReportExtraction",
-    "shared_extractor",
-]
+__all__ = ["CorpusExtraction", "CorpusExtractor", "ReportExtraction"]

@@ -3,8 +3,8 @@
 :class:`CorpusHuntPlanner` closes the loop from a corpus of OSCTI reports to
 the continuous hunting service:
 
-1. every report is extracted (:class:`~repro.intel.extractor.CorpusExtractor`,
-   optionally in parallel);
+1. every report is extracted (:class:`~repro.intel.extractor.CorpusExtractor`
+   over the facade's own extraction pipeline);
 2. each behavior graph is synthesized into a TBQL query and canonicalized
    (:mod:`repro.tbql.canonical`), so semantically equivalent queries from
    overlapping reports collide on one canonical key;
@@ -119,9 +119,7 @@ class CorpusHuntPlanner:
     def __init__(self, raptor: "ThreatRaptor", name_prefix: str = "corpus") -> None:
         self._raptor = raptor
         self._name_prefix = name_prefix
-        self._extractor = CorpusExtractor(
-            resolve_nominal_coreference=raptor.config.resolve_nominal_coreference,
-        )
+        self._extractor = CorpusExtractor(raptor.extract_behavior_graph)
 
     def register(
         self,

@@ -215,6 +215,10 @@ class GraphDatabase:
         """True when a node with ``node_id`` is already stored."""
         return node_id in self._nodes
 
+    def has_edge(self, edge_id: int) -> bool:
+        """True when an edge with ``edge_id`` is already stored."""
+        return edge_id in self._edges
+
     def append_entities(self, entities: Iterable[SystemEntity]) -> int:
         """Load entities whose ids are not yet present; returns the number added."""
         return self.load_entities(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.auditing.entities import SystemEntity, entity_from_row
 from repro.auditing.events import SystemEvent, event_from_row
@@ -68,6 +68,24 @@ class AppendReport:
     stored_events: list[SystemEvent] = field(default_factory=list)
     events_ingested: int = 0
     pending_events: int = 0
+
+
+def _refuse_repeated_ids(
+    event_ids: Iterable[int], taken: Callable[[int], bool] = lambda _: False
+) -> None:
+    """Raise :class:`StorageError` naming the first id in ``event_ids`` that
+    repeats an earlier one or is already ``taken``.
+
+    An audit event id names one record.  Stored twice, the reducer would merge
+    the repeat into the original and the graph would refuse it after the
+    relational table had taken the row, so a repeat is refused before either
+    backend is written.
+    """
+    seen: set[int] = set()
+    for event_id in event_ids:
+        if event_id in seen or taken(event_id):
+            raise StorageError(f"duplicate audit event id {event_id}")
+        seen.add(event_id)
 
 
 class AuditStore:
@@ -149,34 +167,22 @@ class AuditStore:
 
     # -- whole-trace loading -------------------------------------------------
 
-    def load_trace(self, trace: AuditTrace, append: bool = False) -> LoadReport:
+    def load_trace(self, trace: AuditTrace) -> LoadReport:
         """Load one audit trace into both backends.
 
-        By default loading **replaces** the store's contents, so calling
-        :meth:`load_trace` twice leaves exactly the second trace stored.  Pass
-        ``append=True`` to add the trace to what is already stored instead
-        (the incremental path :mod:`repro.streaming` builds on).
+        Loading **replaces** the store's contents, so calling
+        :meth:`load_trace` twice leaves exactly the second trace stored; use
+        :meth:`append_batch` to add to what is stored.
 
         When reduction is enabled the reduced trace is what gets stored,
         matching the paper's deployment; the store does not hold on to either
         trace.
-        """
-        if append:
-            appended = self.append_batch(trace.entities, trace.events)
-            return LoadReport(
-                relational_rows={
-                    "entities": appended.appended_entities,
-                    "events": appended.appended_events,
-                },
-                graph_counts={
-                    "nodes": appended.appended_entities,
-                    "edges": appended.appended_events,
-                },
-                reduction=(
-                    self._incremental.statistics() if self._incremental is not None else None
-                ),
-            )
 
+        Raises:
+            StorageError: if two events of ``trace`` share an id.  Nothing is
+                written: the store keeps what it held before.
+        """
+        _refuse_repeated_ids(event.event_id for event in trace.events)
         self.reset()
         report = LoadReport()
         to_load = trace
@@ -199,10 +205,21 @@ class AuditStore:
         reduction is enabled: only *sealed* events — those that can no longer
         absorb merges — are stored and reported; the rest stay pending until a
         later batch or :meth:`flush` seals them.
+
+        Raises:
+            StorageError: if an event id repeats within the batch, or names an
+                event already stored or still pending in the reducer.  Nothing
+                is written and :attr:`generation` does not advance.
         """
+        event_list = list(events)
+        incremental = self._incremental
+        _refuse_repeated_ids(
+            (event.event_id for event in event_list),
+            lambda event_id: self.graph.has_edge(event_id)
+            or (incremental is not None and incremental.is_pending(event_id)),
+        )
         report = AppendReport()
         new_entities = [entity for entity in entities if not self.graph.has_node(entity.entity_id)]
-        event_list = list(events)
         report.events_ingested = len(event_list)
         stored_events = (
             self._incremental.ingest(event_list) if self._incremental is not None else event_list

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.pipeline import ThreatRaptor
 from repro.data.osctireports import FIGURE2_REPORT, PASSWORD_CRACKING_REPORT
 from repro.intel.corpus import ReportCorpus
-from repro.intel.extractor import (
-    DEFAULT_FLAGS,
-    CorpusExtractor,
-    shared_extractor,
-)
+from repro.intel.extractor import CorpusExtractor
+from repro.nlp.extractor import ThreatBehaviorExtractor
 
 
 @pytest.fixture(scope="module")
@@ -23,48 +21,50 @@ def small_corpus():
     return corpus
 
 
+@pytest.fixture(scope="module")
+def extract():
+    return ThreatBehaviorExtractor().extract
+
+
 class TestCorpusExtractor:
-    def test_extracts_every_report(self, small_corpus):
-        extraction = CorpusExtractor().extract_corpus(small_corpus)
+    def test_extracts_every_report(self, small_corpus, extract):
+        extraction = CorpusExtractor(extract).extract_corpus(small_corpus)
         assert len(extraction.extractions) == len(small_corpus)
         assert not extraction.failures()
         assert extraction.reports_per_second > 0
 
-    def test_duplicate_texts_share_one_extraction(self, small_corpus):
-        extraction = CorpusExtractor().extract_corpus(small_corpus)
+    def test_duplicate_texts_share_one_extraction(self, small_corpus, extract):
+        extraction = CorpusExtractor(extract).extract_corpus(small_corpus)
         assert extraction.cache_hits == 1
         by_id = extraction.by_id()
         duplicate = by_id["figure2-duplicate"]
         assert duplicate.from_cache
         assert duplicate.result is by_id["figure2-data-leakage"].result
 
-    def test_dedup_can_be_disabled(self, small_corpus):
-        extraction = CorpusExtractor(dedup_texts=False).extract_corpus(small_corpus)
-        assert extraction.cache_hits == 0
-        by_id = extraction.by_id()
-        assert by_id["figure2-duplicate"].result is not by_id["figure2-data-leakage"].result
-
-    def test_trees_dropped(self):
+    def test_trees_dropped(self, extract):
         corpus = ReportCorpus([FIGURE2_REPORT])
-        slim = CorpusExtractor().extract_corpus(corpus)
+        slim = CorpusExtractor(extract).extract_corpus(corpus)
         assert slim.by_id()["figure2-data-leakage"].result.trees == []
 
-    def test_failure_is_isolated_per_report(self, monkeypatch):
-        import repro.intel.extractor as extractor_module
-
-        original = extractor_module._extract_text
-
-        def explode_on_marker(flags, text):
+    def test_failure_is_isolated_per_report(self, extract):
+        def explode_on_marker(text):
             if "EXPLODE" in text:
                 raise RuntimeError("boom")
-            return original(flags, text)
+            return extract(text)
 
-        monkeypatch.setattr(extractor_module, "_extract_text", explode_on_marker)
         corpus = ReportCorpus([FIGURE2_REPORT, ("bad", "EXPLODE")])
-        extraction = CorpusExtractor().extract_corpus(corpus)
+        extraction = CorpusExtractor(explode_on_marker).extract_corpus(corpus)
         assert extraction.failures() == {"bad": "RuntimeError: boom"}
         assert extraction.by_id()["figure2-data-leakage"].ok
 
-    def test_shared_extractor_is_memoized(self):
-        assert shared_extractor(DEFAULT_FLAGS) is shared_extractor(DEFAULT_FLAGS)
-        assert shared_extractor(DEFAULT_FLAGS) is not shared_extractor((True, True, True, True))
+    def test_corpus_pass_extracts_with_the_facades_pipeline(self, small_corpus, monkeypatch):
+        raptor = ThreatRaptor()
+        texts = []
+        extract = raptor.extract_behavior_graph
+        monkeypatch.setattr(
+            raptor, "extract_behavior_graph", lambda text: texts.append(text) or extract(text)
+        )
+        result = raptor.hunt_corpus(small_corpus)
+        # One call per distinct text: the duplicate shares its original's result.
+        assert sorted(texts) == sorted([FIGURE2_REPORT.text, PASSWORD_CRACKING_REPORT.text])
+        assert result.summary()["extraction_cache_hits"] == 1

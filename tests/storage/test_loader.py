@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.auditing.trace import AuditTrace
 from repro.auditing.workload.base import ScenarioBuilder
 from repro.auditing.workload.benign import NoisyFileServerWorkload, WebServerWorkload
+from repro.errors import StorageError
 from repro.storage.loader import AuditStore
 from repro.tbql.executor import TBQLExecutionEngine
 
@@ -111,8 +115,6 @@ class TestRepeatedLoads:
     @staticmethod
     def _halves():
         """One trace split in two halves sharing the entity/event id space."""
-        from repro.auditing.trace import AuditTrace
-
         whole = _bursty_trace()
         midpoint = len(whole.events) // 2
         first = AuditTrace(host=whole.host, entities=list(whole.entities))
@@ -125,7 +127,7 @@ class TestRepeatedLoads:
         whole, first, second = self._halves()
         store = AuditStore(apply_reduction=False)
         store.load_trace(first)
-        store.load_trace(second, append=True)
+        store.append_batch(second.entities, second.events)
         assert len(store.relational.table("events")) == len(whole.events)
         assert store.graph.edge_count() == len(whole.events)
         assert len(store.relational.table("entities")) == len(whole.entities)
@@ -136,7 +138,7 @@ class TestRepeatedLoads:
         store = AuditStore(apply_reduction=False)
         store.load_trace(first)
         events_before = len(first.events)
-        store.load_trace(second, append=True)
+        store.append_batch(second.entities, second.events)
         assert len(first.events) == events_before
         both = first.events + second.events
         assert _stored_event_ids(store) == {event.event_id for event in both}
@@ -148,3 +150,64 @@ class TestRepeatedLoads:
         assert len(store.relational) == 0
         assert len(store.relational.table("events")) == 0
         assert store.graph.node_count() == 0
+
+
+def _state(store: AuditStore) -> tuple[int, ...]:
+    """Row counts of both backends, reducer backlog and generation."""
+    return (
+        len(store.relational.table("events")),
+        len(store.relational.table("entities")),
+        store.graph.edge_count(),
+        store.graph.node_count(),
+        store.pending_events,
+        store.generation,
+    )
+
+
+class TestRepeatedEventIds:
+    """Regression: a repeated event id was merged by CPR into the original
+    (summing its amount) or tore the store (the relational table took the row
+    the graph then refused).  It is refused before anything is written."""
+
+    @pytest.mark.parametrize("apply_reduction", [True, False])
+    def test_whole_trace_with_a_repeated_id_is_refused(self, apply_reduction):
+        trace = _bursty_trace()
+        repeated = AuditTrace(
+            host=trace.host, entities=list(trace.entities), events=trace.events + [trace.events[5]]
+        )
+        store = AuditStore(apply_reduction=apply_reduction)
+        store.load_trace(trace)
+        before = _state(store)
+        with pytest.raises(StorageError, match=f"id {trace.events[5].event_id}\\b"):
+            store.load_trace(repeated)
+        assert _state(store) == before
+
+    @pytest.mark.parametrize("storage", ["memory", "segments"])
+    def test_append_of_a_stored_id_is_refused(self, storage, tmp_path):
+        trace = _bursty_trace()
+        store = AuditStore(apply_reduction=False, storage=storage, data_dir=tmp_path)
+        store.append_batch(trace.entities, trace.events[:50])
+        before = _state(store)
+        with pytest.raises(StorageError, match=f"id {trace.events[6].event_id}\\b"):
+            store.append_batch([], trace.events[50:60] + [trace.events[6]])
+        assert _state(store) == before
+
+    def test_repeat_within_one_batch_is_refused(self):
+        trace = _bursty_trace()
+        store = AuditStore(apply_reduction=False)
+        with pytest.raises(StorageError, match=f"id {trace.events[3].event_id}\\b"):
+            store.append_batch(trace.entities, trace.events[:10] + [trace.events[3]])
+        assert _state(store) == (0, 0, 0, 0, 0, 0)
+
+    def test_append_of_an_id_pending_in_the_reducer_is_refused(self):
+        trace = _bursty_trace()
+        store = AuditStore()
+        store.append_batch(trace.entities, [trace.events[0]])
+        before = _state(store)
+        assert before[4] == 1  # the event waits for a merge decision
+        with pytest.raises(StorageError, match=f"id {trace.events[0].event_id}\\b"):
+            store.append_batch([], [trace.events[0]])
+        assert _state(store) == before
+        assert [event.event_id for event in store.flush().stored_events] == [
+            trace.events[0].event_id
+        ]

@@ -215,17 +215,29 @@ class TestSealedSegmentImmutability:
         assert sorted(actual.rows) == sorted(expected.rows)
 
     def test_time_window_prunes_segments(self, tmp_path):
-        database = SegmentedRelationalDatabase(tmp_path, segment_rows=8)
-        database.load_trace(_trace(events=64))
+        """A window over the middle tenth of the timeline prunes at least half
+        of ~32 sealed segments, and answers like the in-memory store."""
+        trace = _trace(events=20_000)
+        database = SegmentedRelationalDatabase(tmp_path, segment_rows=len(trace.events) // 32)
+        database.load_trace(trace)
         database.seal()
-        assert database.sealed_segments >= 4
+        assert database.sealed_segments >= 30
+        low, high = trace.events[0].start_time, trace.events[-1].start_time
         query = _join_query()
-        query.add_filter("e", Between(Column("starttime"), 1_000, 1_400))
+        query.add_filter(
+            "e",
+            Between(
+                Column("starttime"), low + (high - low) * 45 // 100, low + (high - low) * 55 // 100
+            ),
+        )
         database.reset_scan_counters()
-        database.execute(query)
+        actual = database.execute(query)
         stats = database.statistics()["segments"]
-        assert stats["pruned"] > 0
         assert stats["pruned"] + stats["scanned"] == database.sealed_segments
+        assert stats["pruned"] >= database.sealed_segments / 2
+        memory = RelationalDatabase()
+        memory.load_trace(trace)
+        assert actual.rows and sorted(actual.rows) == sorted(memory.execute(query).rows)
 
 
 class TestRestartSurvival:

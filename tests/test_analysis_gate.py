@@ -239,6 +239,40 @@ class TestBundledHuntsLintClean:
             )
 
 
+class TestCorpusGateOnALoadedStore:
+    """With store statistics in play, feed variants still lint clean and the
+    gate changes no registration."""
+
+    @pytest.fixture(scope="class")
+    def campaign_trace(self):
+        return generate_campaigns(1, base_seed=900)[0].trace
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return ReportCorpus.variants(10, seed=41)
+
+    def test_variant_queries_lint_clean_against_the_store(self, campaign_trace, corpus):
+        raptor = ThreatRaptor()
+        raptor.load_trace(campaign_trace)
+        analyzer = StaticAnalyzer(store=raptor.store)
+        for corpus_report in corpus:
+            extraction = raptor.extract_behavior_graph(corpus_report.text)
+            report = analyzer.analyze(raptor.synthesize_query(extraction.graph))
+            assert not report.has_errors(), f"{corpus_report.report_id}: {report.render()}"
+
+    def test_enforce_and_off_register_the_same_hunts(self, campaign_trace, corpus):
+        registered = {}
+        for mode in ("enforce", "off"):
+            raptor = ThreatRaptor(ThreatRaptorConfig(analysis_mode=mode))
+            raptor.load_trace(campaign_trace)
+            result = raptor.hunt_corpus(corpus)
+            assert result.hunts and not result.rejected
+            registered[mode] = sorted(
+                (hunt.canonical_key, hunt.report_ids) for hunt in result.hunts
+            )
+        assert registered["enforce"] == registered["off"]
+
+
 def _one_edge_trace(operation: Operation, events: int = 20) -> AuditTrace:
     """``events`` events of one operation between one process and one file."""
     entities = [

@@ -85,12 +85,17 @@ class TestEndToEndHunt:
         assert len(report.query.patterns) == 8
         assert len(report.result) >= 1
         truth = figure2_simulation.ground_truth("figure2-data-leakage")
-        score = score_hunting(report.result.all_matched_event_ids(), truth.event_ids)
+        matched = report.result.all_matched_event_ids()
+        score = score_hunting(matched, truth.event_ids)
         assert score.precision == 1.0
         assert score.recall == 1.0
+        benign_ids = {event.event_id for event in figure2_simulation.trace.benign_events()}
+        assert not matched & benign_ids
 
     def test_query_text_matches_paper_style(self, figure2_raptor):
         report = figure2_raptor.hunt(FIGURE2_REPORT.text)
+        assert len(report.query.event_patterns()) == 8
+        assert len(report.query.temporal_relations) == 7
         assert 'proc p1["%/bin/tar%"] read file f1["%/etc/passwd%"] as evt1' in report.query_text
         assert "return distinct" in report.query_text
 

@@ -34,6 +34,8 @@ class TestDemoAttackHunting:
         # false positives), and the description-covered steps must be found.
         assert score.precision == 1.0
         assert score.recall >= 0.3
+        benign_ids = {event.event_id for event in demo_simulation.trace.benign_events()}
+        assert not matched & benign_ids
 
     def test_data_leakage_hunt_recovers_exfil_chain(self, demo_raptor, demo_simulation):
         report = demo_raptor.hunt(report_by_name("data-leakage").text)
@@ -50,6 +52,32 @@ class TestDemoAttackHunting:
         report = demo_raptor.hunt(report_by_name("data-leakage").text)
         benign_ids = {event.event_id for event in demo_simulation.trace.benign_events()}
         assert not (report.result.all_matched_event_ids() & benign_ids)
+
+    @pytest.mark.parametrize("attack_name", ["password-cracking", "data-leakage"])
+    def test_hunt_covers_the_steps_the_report_describes(
+        self, demo_raptor, demo_simulation, attack_name
+    ):
+        """Recall against only the steps the OSCTI description mentions.
+
+        The injected attacks contain more events than the prose describes
+        (e.g. every scanned file); the fair denominator is the steps whose
+        subject and object both appear in the report's relation ground truth.
+        """
+        report = report_by_name(attack_name)
+        matched = demo_raptor.hunt(report.text).result.all_matched_event_ids()
+        subjects = {subject for subject, _, _ in report.relation_ground_truth}
+        objects = {obj for _, _, obj in report.relation_ground_truth}
+        described = {
+            step.event_id
+            for step in demo_simulation.ground_truth(attack_name).steps
+            if step.subject_exe in subjects and step.object_identifier in objects
+        }
+        assert described
+        # A few low-level steps the prose implies but never states as a
+        # relation (the recv paired with each connect, the self-execute of the
+        # dropped binary) stay in the denominator, so full coverage is not
+        # expected.
+        assert len(matched & described) / len(described) >= 0.6
 
     def test_queries_differ_across_attacks(self, demo_raptor):
         cracking = demo_raptor.hunt(report_by_name("password-cracking").text)
