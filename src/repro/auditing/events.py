@@ -15,7 +15,7 @@ Preserved Reduction technique aggregates it when merging events.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.auditing.entities import EntityType, SystemEntity
@@ -51,30 +51,34 @@ class Operation(enum.Enum):
     @classmethod
     def from_string(cls, value: str) -> "Operation":
         """Parse an operation name, accepting common syscall aliases."""
-        normalized = value.strip().lower()
-        aliases = {
-            "readv": cls.READ,
-            "pread": cls.READ,
-            "writev": cls.WRITE,
-            "pwrite": cls.WRITE,
-            "execve": cls.EXEC,
-            "clone": cls.FORK,
-            "vfork": cls.FORK,
-            "unlink": cls.DELETE,
-            "unlinkat": cls.DELETE,
-            "open": cls.READ,
-            "openat": cls.READ,
-            "sendto": cls.SEND,
-            "sendmsg": cls.SEND,
-            "recvfrom": cls.RECV,
-            "recvmsg": cls.RECV,
-        }
-        if normalized in aliases:
-            return aliases[normalized]
-        try:
-            return cls(normalized)
-        except ValueError:
-            raise ValueError(f"unknown operation: {value!r}") from None
+        operation = OPERATION_NAMES.get(value)
+        if operation is None:
+            operation = OPERATION_NAMES.get(value.strip().lower())
+            if operation is None:
+                raise ValueError(f"unknown operation: {value!r}")
+        return operation
+
+
+#: Every lowercase operation name :meth:`Operation.from_string` accepts: the
+#: canonical values plus common syscall aliases.
+OPERATION_NAMES: dict[str, Operation] = {
+    **{operation.value: operation for operation in Operation},
+    "readv": Operation.READ,
+    "pread": Operation.READ,
+    "writev": Operation.WRITE,
+    "pwrite": Operation.WRITE,
+    "execve": Operation.EXEC,
+    "clone": Operation.FORK,
+    "vfork": Operation.FORK,
+    "unlink": Operation.DELETE,
+    "unlinkat": Operation.DELETE,
+    "open": Operation.READ,
+    "openat": Operation.READ,
+    "sendto": Operation.SEND,
+    "sendmsg": Operation.SEND,
+    "recvfrom": Operation.RECV,
+    "recvmsg": Operation.RECV,
+}
 
 
 class EventType(enum.Enum):
@@ -178,11 +182,24 @@ class SystemEvent:
             other.operation,
         ):
             raise ValueError("can only merge events over the same edge")
-        return replace(
-            self,
-            start_time=min(self.start_time, other.start_time),
-            end_time=max(self.end_time, other.end_time),
-            amount=self.amount + other.amount,
+        return self.spanning(
+            min(self.start_time, other.start_time),
+            max(self.end_time, other.end_time),
+            self.amount + other.amount,
+        )
+
+    def spanning(self, start_time: int, end_time: int, amount: int) -> "SystemEvent":
+        """This event (same id, edge and host) over another window and byte count."""
+        return SystemEvent(
+            self.event_id,
+            self.subject_id,
+            self.object_id,
+            self.operation,
+            self.object_type,
+            start_time,
+            end_time,
+            amount,
+            self.host,
         )
 
 

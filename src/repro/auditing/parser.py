@@ -10,11 +10,12 @@ same file/process/connection map to a single entity.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
 from repro.auditing.entities import EntityFactory, SystemEntity
-from repro.auditing.events import Operation, SystemEvent
+from repro.auditing.events import OPERATION_NAMES, Operation, SystemEvent
 from repro.auditing.sysdig import iter_records_lenient
 from repro.auditing.trace import AuditTrace
 from repro.errors import AuditLogError
@@ -117,8 +118,12 @@ class AuditLogParser:
             yield event, subject, obj
 
     def parse_file(self, path: str) -> tuple[AuditTrace, ParseStatistics]:
-        """Parse an audit log file from disk."""
-        with open(path, "r", encoding="utf-8") as handle:
+        """Parse an audit log file from disk.
+
+        Only ``"\\n"`` ends a record: universal-newline mode would also end
+        one at a ``"\\r"``.
+        """
+        with open(path, "r", encoding="utf-8", newline="\n") as handle:
             return self.parse(handle)
 
     # -- internal ----------------------------------------------------------
@@ -133,19 +138,22 @@ class AuditLogParser:
             owner=record.get("user.name", "root"),
         )
         obj = self._parse_object(record, factory)
-        operation = Operation.from_string(record["evt.type"])
+        name = record["evt.type"]
+        operation = OPERATION_NAMES.get(name) or Operation.from_string(name)
         start_time = int(record["evt.time"])
         end_time = int(record.get("evt.endtime", start_time))
+        # Positional, in field order: keyword arguments add a quarter to the
+        # frozen dataclass's construction, which runs once per record.
         event = SystemEvent(
-            event_id=int(record["evt.num"]),
-            subject_id=subject.entity_id,
-            object_id=obj.entity_id,
-            operation=operation,
-            object_type=obj.entity_type,
-            start_time=start_time,
-            end_time=end_time,
-            amount=int(record.get("evt.buflen", "0") or 0),
-            host=record.get("host", self._host),
+            int(record["evt.num"]),
+            subject.entity_id,
+            obj.entity_id,
+            operation,
+            obj.entity_type,
+            start_time,
+            end_time,
+            int(record.get("evt.buflen", "0") or 0),
+            record.get("host", self._host),
         )
         return event, subject, obj
 
@@ -175,5 +183,5 @@ class AuditLogParser:
 
 def parse_log_text(text: str, host: str = "localhost") -> AuditTrace:
     """Convenience helper: parse a log given as one string, ignoring stats."""
-    trace, _ = AuditLogParser(host=host).parse(text.splitlines())
+    trace, _ = AuditLogParser(host=host).parse(io.StringIO(text))
     return trace

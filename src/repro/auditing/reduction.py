@@ -80,46 +80,47 @@ class CausalityPreservedReducer:
             touches[event.object_id].append(index)
 
         last_on_edge: dict[tuple[int, int, str], int] = {}
-        merged_into: dict[int, int] = {}
-        reduced_events: list[SystemEvent] = []
+        # A merge run is a first event plus every later event merged into it;
+        # it becomes one reduced event, built once the pass is over.
+        reduced_events: list[SystemEvent] = []  # the first event of each run
+        run_of: list[int] = []  # ordered index -> its run's position
+        # Running (min start, max end, sum amount) of every run that merged.
+        totals: dict[int, list[int]] = {}
         reduced_malicious: set[int] = set()
-        # Map original index -> position in reduced_events so merges can update
-        # the already-emitted merged event in place.
-        emitted_position: dict[int, int] = {}
 
         for index, event in enumerate(ordered):
             edge = (event.subject_id, event.object_id, event.operation.value)
             prev_index = last_on_edge.get(edge)
-            mergeable = False
+            last_on_edge[edge] = index
             if prev_index is not None:
-                prev_event = ordered[prev_index]
-                gap = event.start_time - prev_event.end_time
+                gap = event.start_time - ordered[prev_index].end_time
                 within_window = (
                     self._merge_window_ns is None or gap <= self._merge_window_ns
                 )
                 if within_window and not self._interleaved(
                     touches, prev_index, index, event.subject_id, event.object_id
                 ):
-                    mergeable = True
+                    position = run_of[prev_index]
+                    run_of.append(position)
+                    first = reduced_events[position]
+                    total = totals.setdefault(
+                        position, [first.start_time, first.end_time, first.amount]
+                    )
+                    total[0] = min(total[0], event.start_time)
+                    total[1] = max(total[1], event.end_time)
+                    total[2] += event.amount
+                    if event.event_id in trace.malicious_event_ids:
+                        reduced_malicious.add(first.event_id)
+                    continue
+            run_of.append(len(reduced_events))
+            reduced_events.append(event)
+            if event.event_id in trace.malicious_event_ids:
+                reduced_malicious.add(event.event_id)
 
-            if mergeable and prev_index is not None:
-                # Merge into the representative event already emitted for the
-                # predecessor (which may itself be a merge of earlier events).
-                representative_index = merged_into.get(prev_index, prev_index)
-                position = emitted_position[representative_index]
-                reduced_events[position] = reduced_events[position].merged_with(event)
-                merged_into[index] = representative_index
-                if (
-                    event.event_id in trace.malicious_event_ids
-                    or reduced_events[position].event_id in trace.malicious_event_ids
-                ):
-                    reduced_malicious.add(reduced_events[position].event_id)
-            else:
-                emitted_position[index] = len(reduced_events)
-                reduced_events.append(event)
-                if event.event_id in trace.malicious_event_ids:
-                    reduced_malicious.add(event.event_id)
-            last_on_edge[edge] = index
+        for position, (start_time, end_time, amount) in totals.items():
+            reduced_events[position] = reduced_events[position].spanning(
+                start_time, end_time, amount
+            )
 
         reduced = AuditTrace(
             host=trace.host,

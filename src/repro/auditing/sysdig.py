@@ -16,10 +16,17 @@ followed by object fields that depend on the event category:
 * network events: ``fd.sip=<ip>\tfd.sport=<p>\tfd.cip=<ip>\tfd.cport=<p>\tfd.l4proto=<proto>``
 
 plus ``evt.buflen=<bytes>`` and ``host=<hostname>``.
+
+A value escapes ``\\`` as ``\\\\`` and tab, newline and carriage return as
+``\\t``, ``\\n`` and ``\\r``, so a record is exactly one ``\\n``-terminated
+line; a CRLF terminator is accepted too.  Read log files with
+``newline="\\n"``: universal-newline mode would split a record on any other
+line break its values carry (a form feed, ``\\u2028``).
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, TextIO
 
 from repro.auditing.entities import (
@@ -33,32 +40,30 @@ from repro.auditing.trace import AuditTrace
 from repro.errors import AuditLogError
 
 _FIELD_SEPARATOR = "\t"
+_ESCAPED = {"t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_SEQUENCE = re.compile(r"\\(.)", re.DOTALL)
 
 
 def _escape(value: object) -> str:
-    """Escape a field value so tabs/newlines cannot break the record format."""
+    """Escape a field value so separators and line breaks cannot break the record."""
     text = str(value)
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    return (
+        text.replace("\\", "\\\\")
+        .replace("\t", "\\t")
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+    )
 
 
 def _unescape(value: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            else:
-                out.append(nxt)
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Invert :func:`_escape`.
+
+    Lenient on input no escaper wrote: an unknown escape ``\\x`` reads as
+    ``x`` and a lone trailing backslash is kept.
+    """
+    if "\\" not in value:
+        return value
+    return _ESCAPE_SEQUENCE.sub(lambda match: _ESCAPED.get(match[1], match[1]), value)
 
 
 def format_record(
@@ -124,18 +129,25 @@ def write_trace(trace: AuditTrace, stream: TextIO) -> int:
 def parse_record(line: str) -> dict[str, str]:
     """Parse one Sysdig-style log line into a field dict.
 
+    One trailing ``"\\n"`` or ``"\\r\\n"`` is dropped.
+
     Raises:
-        AuditLogError: if the line is empty or a field lacks ``key=value`` form.
+        AuditLogError: if the line is empty, a field lacks ``key=value`` form,
+            or a field name repeats.
     """
-    stripped = line.rstrip("\n")
-    if not stripped.strip():
+    if line.endswith("\n"):
+        line = line[:-2] if line.endswith("\r\n") else line[:-1]
+    if not line or line.isspace():
         raise AuditLogError("empty audit record")
+    escaped = "\\" in line
     fields: dict[str, str] = {}
-    for raw in stripped.split(_FIELD_SEPARATOR):
-        if "=" not in raw:
-            raise AuditLogError(f"malformed field {raw!r} in record {stripped!r}")
-        key, _, value = raw.partition("=")
-        fields[key] = _unescape(value)
+    for raw in line.split(_FIELD_SEPARATOR):
+        key, equals, value = raw.partition("=")
+        if not equals:
+            raise AuditLogError(f"malformed field {raw!r} in record {line!r}")
+        if key in fields:
+            raise AuditLogError(f"repeated field {key!r} in record {line!r}")
+        fields[key] = _unescape(value) if escaped else value
     return fields
 
 
@@ -147,7 +159,7 @@ def iter_records(stream: TextIO | Iterable[str]) -> Iterator[dict[str, str]]:
     :func:`iter_records_lenient`.
     """
     for line in stream:
-        if not line.strip():
+        if line.isspace() or not line:
             continue
         yield parse_record(line)
 
@@ -161,7 +173,7 @@ def iter_records_lenient(
     collector tolerates occasional corrupt lines without dropping the stream.
     """
     for line in stream:
-        if not line.strip():
+        if line.isspace() or not line:
             continue
         try:
             yield parse_record(line), None

@@ -113,8 +113,8 @@ class ThreatRaptor:
 
     def load_log_file(self, path: str, host: str = "localhost") -> LoadReport:
         """Parse and load an audit log file from disk."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return self.load_log(handle, host=host)
+        trace, _ = AuditLogParser(host=host).parse_file(path)
+        return self.load_trace(trace)
 
     # -- pipeline stages --------------------------------------------------------------
 

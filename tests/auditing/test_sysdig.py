@@ -8,6 +8,7 @@ import pytest
 
 from repro.auditing.entities import EntityType, FileEntity, NetworkEntity, ProcessEntity
 from repro.auditing.events import Operation, SystemEvent
+from repro.auditing.parser import AuditLogParser
 from repro.auditing.sysdig import (
     format_record,
     iter_records,
@@ -90,7 +91,7 @@ class TestFormatRecord:
 
     def test_escaping_of_tabs_and_newlines(self, sample_entities):
         process, _, _ = sample_entities
-        weird = FileEntity(entity_id=5, name="/tmp/evil\tname\nwith newline")
+        weird = FileEntity(entity_id=5, name="/tmp/evil\tname\nwith newline\rand return")
         event = SystemEvent(
             event_id=4,
             subject_id=1,
@@ -101,9 +102,9 @@ class TestFormatRecord:
             end_time=2,
         )
         line = format_record(event, process, weird)
-        assert "\n" not in line
+        assert "\n" not in line and "\r" not in line
         record = parse_record(line)
-        assert record["fd.name"] == "/tmp/evil\tname\nwith newline"
+        assert record["fd.name"] == "/tmp/evil\tname\nwith newline\rand return"
 
 
 class TestParseRecord:
@@ -114,6 +115,24 @@ class TestParseRecord:
     def test_malformed_field_rejected(self):
         with pytest.raises(AuditLogError, match="malformed"):
             parse_record("evt.num=1\tgarbage-without-equals")
+
+    def test_repeated_field_rejected(self, sample_entities):
+        process, file_entity, _ = sample_entities
+        line = format_record(_file_event(), process, file_entity)
+        repeated = line.replace("evt.num=1\t", "evt.num=1\tevt.num=2\t")
+        with pytest.raises(AuditLogError, match="repeated field 'evt.num'"):
+            parse_record(repeated)
+        parsed, stats = AuditLogParser().parse(io.StringIO(f"{repeated}\n{line}\n"))
+        assert (stats.records_parsed, stats.records_skipped) == (1, 1)
+        assert [event.event_id for event in parsed.events] == [1]
+        assert "repeated field 'evt.num'" in stats.errors[0]
+        with pytest.raises(AuditLogError, match="repeated field"):
+            AuditLogParser(strict=True).parse(io.StringIO(repeated + "\n"))
+
+    def test_one_line_terminator_is_dropped(self):
+        assert parse_record("a=1\tb=x\n") == {"a": "1", "b": "x"}
+        assert parse_record("a=1\tb=x\r\n") == {"a": "1", "b": "x"}
+        assert parse_record("a=1\tb=x\\r\\n\n") == {"a": "1", "b": "x\r\n"}
 
     def test_iter_records_skips_blank_lines(self, sample_entities):
         process, file_entity, _ = sample_entities
