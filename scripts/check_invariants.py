@@ -26,6 +26,9 @@ know about:
   data queries only through ``PreparedQuery``.  Likewise only ``storage/``
   imports ``repro.storage.segment`` or ``repro.storage.relational.executor``:
   the rest of the product reaches a store through ``AuditStore``.
+* **No per-row compilation in ``storage/``** — no ``re.compile`` or
+  ``like_tokens`` call inside an ``evaluate`` or ``matches`` method: a LIKE
+  is compiled once per distinct pattern, never per row or graph node.
 
 Exit status: 0 when clean, 1 with one ``file:line: message`` per violation
 otherwise.  Run as ``python scripts/check_invariants.py`` from the repo root.
@@ -79,6 +82,9 @@ _IMPORT_BOUNDARIES: dict[str, tuple[str | None, str]] = {
 }
 
 _MUTABLE_DEFAULT_NODES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+#: Methods the storage engines call once per row or node.
+_PER_ROW_METHODS = {"evaluate", "matches"}
 
 
 def _dotted(node: ast.AST) -> tuple[str, ...]:
@@ -217,6 +223,52 @@ def check_import_boundaries(path: Path, tree: ast.Module, relative: str = "") ->
     return violations
 
 
+def check_no_per_row_compile(path: Path, tree: ast.Module) -> list[Violation]:
+    """No ``re.compile`` or ``like_tokens`` call inside an ``evaluate`` or
+    ``matches`` method: those run once per row or graph node.
+
+    A call through a helper method of the same class (``self._regex()``)
+    counts as a call inside.
+    """
+
+    def compiles(function: ast.AST) -> list[ast.Call]:
+        return [
+            node
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and (
+                _dotted(node.func)[-2:] == ("re", "compile")
+                or _dotted(node.func)[-1:] == ("like_tokens",)
+            )
+        ]
+
+    violations: list[Violation] = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.ClassDef)):
+            continue
+        methods = {
+            node.name: node
+            for node in scope.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for name in _PER_ROW_METHODS & set(methods):
+            calls = compiles(methods[name])
+            for node in ast.walk(methods[name]):
+                dotted = _dotted(node.func) if isinstance(node, ast.Call) else ()
+                if len(dotted) == 2 and dotted[0] == "self" and dotted[1] in methods:
+                    calls += [node] if compiles(methods[dotted[1]]) else []
+            for call in calls:
+                violations.append(
+                    Violation(
+                        path,
+                        call.lineno,
+                        f"{'.'.join(_dotted(call.func))}() inside {name}(), which runs "
+                        "per row; compile once (expression.like_regex caches a LIKE)",
+                    )
+                )
+    return violations
+
+
 def run() -> int:
     violations: list[Violation] = []
     for path in sorted(SRC_ROOT.rglob("*.py")):
@@ -224,6 +276,8 @@ def run() -> int:
         relative = path.relative_to(SRC_ROOT).as_posix()
         if relative.startswith("scenarios/"):
             violations.extend(check_determinism(path, tree))
+        if relative.startswith("storage/"):
+            violations.extend(check_no_per_row_compile(path, tree))
         violations.extend(check_fsync_before_replace(path, tree))
         violations.extend(check_mutable_defaults(path, tree))
         violations.extend(check_import_boundaries(path, tree, relative))

@@ -5,8 +5,10 @@ edges, with three kinds of indexes that mirror what the paper relies on in
 Neo4j ("indexes are created on key attributes to speed up the search"):
 
 * a **label index** — node ids per label;
-* **property indexes** — node ids per (label, property, value), created on the
-  same key attributes the relational store indexes (name, exename, dstip);
+* **property indexes** — per (label, property), node ids per value, created on
+  the same key attributes the relational store indexes (name, exename,
+  dstip), so a filter over that one property can be evaluated once per
+  distinct value instead of once per node;
 * **adjacency indexes** — outgoing and incoming edge ids per node, grouped by
   relationship type and kept **sorted by edge start time**, which drive path
   pattern search.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.auditing.entities import SystemEntity
 from repro.auditing.events import SystemEvent
@@ -90,7 +92,11 @@ class GraphDatabase:
         self._nodes: dict[int, Node] = {}
         self._edges: dict[int, Edge] = {}
         self._label_index: dict[str, set[int]] = defaultdict(set)
-        self._property_index: dict[tuple[str, str, Any], set[int]] = defaultdict(set)
+        self._property_index: dict[tuple[str, str], dict[Any, set[int]]] = {
+            (label, name): {}
+            for label, names in DEFAULT_PROPERTY_INDEXES.items()
+            for name in names
+        }
         self._outgoing: dict[int, dict[str, _TimeSortedEdges]] = {}
         self._incoming: dict[int, dict[str, _TimeSortedEdges]] = {}
         #: Global time index over every edge, total and per relationship type.
@@ -102,7 +108,8 @@ class GraphDatabase:
         self._nodes.clear()
         self._edges.clear()
         self._label_index.clear()
-        self._property_index.clear()
+        for by_value in self._property_index.values():
+            by_value.clear()
         self._outgoing.clear()
         self._incoming.clear()
         self._edges_by_time = _TimeSortedEdges()
@@ -123,7 +130,8 @@ class GraphDatabase:
         for property_name in DEFAULT_PROPERTY_INDEXES.get(node.label, ()):
             value = node.properties.get(property_name)
             if value is not None:
-                self._property_index[(node.label, property_name, value)].add(node.node_id)
+                by_value = self._property_index[(node.label, property_name)]
+                by_value.setdefault(value, set()).add(node.node_id)
 
     def add_edge(self, edge: Edge) -> None:
         """Insert one edge and maintain adjacency and time indexes.
@@ -273,9 +281,19 @@ class GraphDatabase:
 
     def property_index_count(self, label: str, property_name: str, value: Any) -> int | None:
         """Size of one property-index bucket, or ``None`` when not indexed."""
-        if property_name not in DEFAULT_PROPERTY_INDEXES.get(label, ()):
+        by_value = self._property_index.get((label, property_name))
+        if by_value is None:
             return None
-        return len(self._property_index.get((label, property_name, value), ()))
+        return len(by_value.get(value, ()))
+
+    def property_values(self, label: str, property_name: str) -> Mapping[Any, set[int]] | None:
+        """The property index of ``(label, property_name)``: value → node ids.
+
+        ``None`` when that property is not indexed.  Nodes whose value is
+        ``None`` or missing are in no bucket.  A read-only view: do not
+        mutate the id sets.
+        """
+        return self._property_index.get((label, property_name))
 
     def nodes_with_label(self, label: str) -> Iterator[Node]:
         """All nodes carrying ``label``."""
@@ -290,9 +308,9 @@ class GraphDatabase:
         """
         if label is not None and property_filters:
             for property_name, value in property_filters.items():
-                key = (label, property_name, value)
-                if key in self._property_index:
-                    candidates = [self._nodes[node_id] for node_id in self._property_index[key]]
+                bucket = self._property_index.get((label, property_name), {}).get(value)
+                if bucket is not None:
+                    candidates = [self._nodes[node_id] for node_id in bucket]
                     return [
                         node
                         for node in candidates
@@ -320,7 +338,7 @@ class GraphDatabase:
         the time-sorted adjacency arrays make the restriction a bisect, not a
         scan, so temporally pruned path search skips dead edges entirely.
         """
-        yield from self._adjacent(self._outgoing, node_id, relationship, min_start, max_start)
+        return self._adjacent(self._outgoing, node_id, relationship, min_start, max_start)
 
     def incoming_edges(
         self,
@@ -330,7 +348,7 @@ class GraphDatabase:
         max_start: int | None = None,
     ) -> Iterator[Edge]:
         """Incoming edges of ``node_id``, optionally restricted to one type."""
-        yield from self._adjacent(self._incoming, node_id, relationship, min_start, max_start)
+        return self._adjacent(self._incoming, node_id, relationship, min_start, max_start)
 
     def _adjacent(
         self,

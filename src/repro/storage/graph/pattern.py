@@ -3,7 +3,7 @@
 ThreatRaptor compiles a TBQL variable-length event path pattern (e.g.
 ``proc p ~>(2~4)[read] file f``) into a Cypher data query "by leveraging
 Cypher's path pattern syntax".  This module declares what the Cypher
-substitute matches: node predicates for the two endpoints, an optional
+substitute matches: node constraints for the two endpoints, an optional
 relationship constraint for the final hop, and minimum/maximum path lengths.
 :class:`~repro.storage.graph.planner.CostGuidedPathMatcher` enumerates all
 simple paths that satisfy a pattern.
@@ -23,11 +23,12 @@ Path semantics follow the TBQL description:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
+from repro.errors import QueryError
 from repro.storage.graph.model import Edge, Node
+from repro.storage.relational.expression import Expression
 
-NodePredicate = Callable[[Node], bool]
 EdgePredicate = Callable[[Edge], bool]
 
 
@@ -35,15 +36,19 @@ EdgePredicate = Callable[[Edge], bool]
 class NodePattern:
     """Constraints on one endpoint of a path pattern.
 
+    ``filter`` is the entity's attribute filter as a relational
+    :class:`~repro.storage.relational.expression.Expression` over the node's
+    properties; a node lacking an attribute the filter reads does not match.
     ``allowed_ids`` is the scheduler's entity-id constraint (ids bound by
-    earlier, more selective patterns).  It is declared as data rather than
-    folded into ``predicate`` so the cost-guided planner can both enumerate
-    candidates directly from it and use its size as an exact cardinality.
+    earlier, more selective patterns).  Both are data rather than opaque
+    callables, so the cost-guided planner can enumerate candidates from
+    ``allowed_ids`` (its size is an exact cardinality) and evaluate a filter
+    over one indexed property once per distinct indexed value.
     """
 
     label: str | None = None
     properties: dict[str, Any] = field(default_factory=dict)
-    predicate: NodePredicate | None = None
+    filter: Expression | None = None
     allowed_ids: frozenset[int] | None = None
 
     def matches(self, node: Node) -> bool:
@@ -54,9 +59,18 @@ class NodePattern:
         for key, value in self.properties.items():
             if node.properties.get(key) != value:
                 return False
-        if self.predicate is not None and not self.predicate(node):
+        return self.filter_holds(node.properties)
+
+    def filter_holds(self, properties: Mapping[str, Any]) -> bool:
+        """Whether ``filter`` holds on a property mapping (true without one)."""
+        if self.filter is None:
+            return True
+        try:
+            return bool(self.filter.evaluate(properties))
+        except QueryError:
+            # ``Column.evaluate`` on a missing attribute, the only error an
+            # evaluation raises: no match.  Anything else propagates.
             return False
-        return True
 
 
 @dataclass

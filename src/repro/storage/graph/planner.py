@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.storage.graph.graphdb import GraphDatabase
 from repro.storage.graph.model import Edge, Node, Path
@@ -213,8 +213,42 @@ class CostGuidedPathMatcher:
                     if node_pattern.matches(node):
                         nodes.append(node)
             return nodes
+        by_value = self._candidates_by_value(node_pattern)
+        if by_value is not None:
+            return by_value
         found = graph.find_nodes(node_pattern.label, **node_pattern.properties)
         return [node for node in found if node_pattern.matches(node)]
+
+    def _candidates_by_value(self, node_pattern: NodePattern) -> list[Node] | None:
+        """Nodes passing a filter over one indexed property, tested per distinct value.
+
+        ``None`` when this does not apply: no label or no filter, exact
+        ``properties`` to honour, a filter reading other properties than one
+        indexed one, or label nodes outside the index (value ``None`` or
+        missing) on which the filter could hold.
+        """
+        graph = self._graph
+        label, expression = node_pattern.label, node_pattern.filter
+        if label is None or expression is None or node_pattern.properties:
+            return None
+        columns = expression.columns()
+        if len(columns) != 1:
+            return None
+        (column,) = columns
+        by_value = graph.property_values(label, column)
+        if by_value is None:
+            return None
+        indexed = sum(len(node_ids) for node_ids in by_value.values())
+        if indexed < graph.label_count(label) and (
+            node_pattern.filter_holds({}) or node_pattern.filter_holds({column: None})
+        ):
+            return None
+        return [
+            graph.node(node_id)
+            for value, node_ids in by_value.items()
+            if node_pattern.filter_holds({column: value})
+            for node_id in node_ids
+        ]
 
     # -- matching ------------------------------------------------------------
 
@@ -228,7 +262,7 @@ class CostGuidedPathMatcher:
             yield from self._window_seeded(pattern)
             return
         if plan.strategy == "backward":
-            yield from self._backward(pattern, plan.targets or [])
+            yield from self._backward(pattern, plan.targets or [], plan.sources or [])
             return
         reach = self._reachability(pattern, plan.targets or []) if plan.uses_reachability else None
         yield from self._forward(pattern, plan.sources or [], reach)
@@ -356,11 +390,20 @@ class CostGuidedPathMatcher:
 
     # -- backward strategies -------------------------------------------------
 
-    def _backward(self, pattern: PathPattern, targets: list[Node]) -> Iterator[Path]:
+    def _backward(
+        self, pattern: PathPattern, targets: list[Node], sources: list[Node]
+    ) -> Iterator[Path]:
         graph = self._graph
         window = pattern.final_edge.window
         min_start = window[0] if window is not None else None
         max_start = window[1] if window is not None else None
+        # The plan already materialized the sources: test membership, not the
+        # source pattern, on every prefix state.
+        source_ids = frozenset(node.node_id for node in sources)
+
+        def is_source(node: Node) -> bool:
+            return node.node_id in source_ids
+
         for target in targets:
             for edge in graph.incoming_edges(
                 target.node_id,
@@ -369,7 +412,7 @@ class CostGuidedPathMatcher:
                 max_start=max_start,
             ):
                 if pattern.final_edge.matches(edge):
-                    yield from self._grow_prefix(pattern, edge, target)
+                    yield from self._grow_prefix(pattern, edge, target, is_source)
 
     def _window_seeded(self, pattern: PathPattern) -> Iterator[Path]:
         graph = self._graph
@@ -382,23 +425,29 @@ class CostGuidedPathMatcher:
                 continue
             target = graph.node(edge.target_id)
             if pattern.target.matches(target):
-                yield from self._grow_prefix(pattern, edge, target)
+                # No source candidates here (the plan never scans for them).
+                yield from self._grow_prefix(pattern, edge, target, pattern.source.matches)
 
     def _grow_prefix(
-        self, pattern: PathPattern, final_edge: Edge, target: Node
+        self,
+        pattern: PathPattern,
+        final_edge: Edge,
+        target: Node,
+        is_source: Callable[[Node], bool],
     ) -> Iterator[Path]:
         """Enumerate all path prefixes completing ``final_edge`` into ``target``.
 
         States grow backwards from the final hop's source node; every
         prepended edge is a non-final hop, so it must satisfy the intermediate
         constraint and start at or before the currently earliest hop (a bisect
-        on the time-sorted incoming adjacency).
+        on the time-sorted incoming adjacency).  ``is_source`` decides whether
+        a state's first node can start a path.
         """
         graph = self._graph
         if final_edge.source_id == final_edge.target_id:
             # A self-loop can only be the degenerate single-hop match that
             # plain event patterns (max_length == 1) allow — see ``_forward``.
-            if pattern.max_length == 1 and pattern.source.matches(target):
+            if pattern.max_length == 1 and is_source(target):
                 yield Path(nodes=(target, target), edges=(final_edge,))
             return
         first = graph.node(final_edge.source_id)
@@ -408,7 +457,7 @@ class CostGuidedPathMatcher:
         while stack:
             current, nodes, edges, visited = stack.pop()
             length = len(edges)
-            if length >= pattern.min_length and pattern.source.matches(current):
+            if length >= pattern.min_length and is_source(current):
                 yield Path(nodes=nodes, edges=edges)
             if length >= pattern.max_length:
                 continue

@@ -12,7 +12,8 @@ renders them as SQL text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import QueryError
@@ -60,6 +61,25 @@ def like_tokens(pattern: str) -> list[tuple[bool, str]]:
         tokens.append((char in ("%", "_"), char))
         index += 1
     return tokens
+
+
+@lru_cache(maxsize=1024)
+def like_regex(pattern: str) -> re.Pattern[str]:
+    """The compiled regex for a ``LIKE`` pattern, built once per distinct pattern.
+
+    Backslash-escaped wildcards (``\\%``, ``\\_``, ``\\\\``) match literally
+    while bare ``%``/``_`` translate to their regex equivalents.  Like SQL,
+    ``%`` and ``_`` also match a newline (``DOTALL``), and the match must
+    end at the end of the value (``\\Z``; ``$`` would also accept a value
+    that only differs by a trailing newline).  Use with ``.match``.
+    """
+    parts: list[str] = []
+    for is_wildcard, char in like_tokens(pattern):
+        if is_wildcard:
+            parts.append(".*" if char == "%" else ".")
+        else:
+            parts.append(re.escape(char))
+    return re.compile("".join(parts) + r"\Z", re.IGNORECASE | re.DOTALL)
 
 
 def like_has_wildcards(pattern: str) -> bool:
@@ -186,24 +206,17 @@ class Like(Expression):
     operand: Expression
     pattern: str
     negate: bool = False
+    #: :func:`like_regex` of ``pattern``, looked up once at construction.
+    regex: re.Pattern[str] = field(init=False, repr=False, compare=False)
 
-    def _regex(self) -> re.Pattern[str]:
-        # Build the regex from parsed tokens so backslash-escaped wildcards
-        # (``\%``, ``\_``, ``\\``) match literally while bare ``%``/``_``
-        # translate to their regex equivalents.
-        parts: list[str] = []
-        for is_wildcard, char in like_tokens(self.pattern):
-            if is_wildcard:
-                parts.append(".*" if char == "%" else ".")
-            else:
-                parts.append(re.escape(char))
-        return re.compile(f"^{''.join(parts)}$", re.IGNORECASE)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "regex", like_regex(self.pattern))
 
     def evaluate(self, row: Row) -> bool:
         value = self.operand.evaluate(row)
         if value is None:
             return False
-        matched = bool(self._regex().match(str(value)))
+        matched = self.regex.match(str(value)) is not None
         return not matched if self.negate else matched
 
     def columns(self) -> set[str]:

@@ -199,7 +199,7 @@ def filter_positions(
     elif isinstance(predicate, Like) and isinstance(predicate.operand, Column):
         array = columns.get(predicate.operand.name)
         if array is not None:
-            regex = predicate._regex()
+            regex = predicate.regex
             negate = predicate.negate
             matched_positions: list[int] = []
             for position in positions:

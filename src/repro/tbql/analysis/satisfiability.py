@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
-from repro.storage.relational.expression import Column, Like
+from repro.storage.relational.expression import like_regex
 from repro.tbql.ast import (
     AttributeComparison,
     EntityDeclaration,
@@ -71,7 +71,7 @@ def is_like(comparison: AttributeComparison) -> bool:
 
 def like_matches(pattern: str, value: str) -> bool:
     """Whether ``value`` matches the (case-insensitive) LIKE ``pattern``."""
-    return bool(Like(operand=Column("v"), pattern=pattern).evaluate({"v": value}))
+    return like_regex(pattern).match(str(value)) is not None
 
 
 def _literal_parts(pattern: str) -> tuple[str, str]:

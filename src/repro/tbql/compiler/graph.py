@@ -22,12 +22,12 @@ from dataclasses import replace
 from typing import Iterable
 
 from repro.auditing.entities import EntityType
-from repro.storage.graph.model import Edge, Node
+from repro.storage.graph.model import Edge
 from repro.storage.graph.pattern import EdgePattern, NodePattern
 from repro.storage.graph.pattern import PathPattern as GraphPathPattern
 from repro.tbql.ast import EntityDeclaration, OperationExpression, Pattern, TimeWindow
 from repro.tbql.ast import PathPattern as TBQLPathPattern
-from repro.tbql.filters import filter_to_predicate
+from repro.tbql.filters import filter_to_expression
 
 _LABELS = {
     EntityType.PROCESS: "process",
@@ -54,12 +54,9 @@ def _node_pattern(declaration: EntityDeclaration) -> NodePattern:
     label = _LABELS[declaration.entity_type]
     if declaration.filter is None:
         return NodePattern(label=label)
-    property_predicate = filter_to_predicate(declaration.filter, declaration.entity_type)
-
-    def node_matches(node: Node) -> bool:
-        return property_predicate(node.properties)
-
-    return NodePattern(label=label, predicate=node_matches)
+    return NodePattern(
+        label=label, filter=filter_to_expression(declaration.filter, declaration.entity_type)
+    )
 
 
 def _edge_pattern(operation: OperationExpression) -> EdgePattern:
@@ -88,7 +85,7 @@ def constrain_path_pattern(
 ) -> GraphPathPattern:
     """``template`` with one execution's window and id constraints attached.
 
-    The endpoint predicates inside the template are shared, never rebuilt; an
+    The endpoint filters inside the template are shared, never rebuilt; an
     execution with nothing to attach gets the template itself.
     """
     if window is None and subject_ids is None and object_ids is None:

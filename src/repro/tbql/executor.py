@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from types import MappingProxyType
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ExecutionError
+from repro.storage.graph.model import Node
 from repro.storage.graph.pattern import PathPattern as GraphPathPattern
 from repro.storage.graph.planner import CostGuidedPathMatcher
 from repro.storage.loader import AuditStore
@@ -45,7 +47,8 @@ from repro.tbql.semantics import AnalyzedQuery, SemanticAnalyzer
 
 #: A variable binding: entity identifier -> entity mapping, plus one event
 #: mapping per pattern stored under the key ``"@<event id>"``.  Relational
-#: matches use zero-copy ``RowFieldView`` mappings; graph matches use dicts.
+#: matches use zero-copy ``RowFieldView`` mappings; graph matches share one
+#: read-only entity mapping per node and build one event dict per path.
 Binding = dict[str, Any]
 
 
@@ -345,22 +348,29 @@ class TBQLExecutionEngine:
         """
         matcher = CostGuidedPathMatcher(self._store.graph)
         bindings: list[Binding] = []
+        # One read-only mapping per distinct endpoint node, shared by every
+        # path through it (like the relational ``RowFieldView``).
+        entities: dict[int, Mapping[str, Any]] = {}
+
+        def entity(node: Node) -> Mapping[str, Any]:
+            view = entities.get(node.node_id)
+            if view is None:
+                view = MappingProxyType({**node.properties, "id": node.node_id, "type": node.label})
+                entities[node.node_id] = view
+            return view
+
+        subject_key = pattern.subject.identifier
+        object_key = pattern.obj.identifier
+        event_key = f"@{pattern.event_id}"
         for path in matcher.match(graph_pattern):
-            subject_node, object_node = path.start, path.end
-            subject = dict(subject_node.properties)
-            subject["id"] = subject_node.node_id
-            subject["type"] = subject_node.label
-            obj = dict(object_node.properties)
-            obj["id"] = object_node.node_id
-            obj["type"] = object_node.label
             # A path pattern's event identifier refers to the *final hop* (the
             # declared operation); temporal relations in the with clause are
             # evaluated against that hop's time window.
             final_edge = path.edges[-1]
             event = {
                 "id": final_edge.edge_id,
-                "srcid": path.nodes[-2].node_id,
-                "dstid": object_node.node_id,
+                "srcid": final_edge.source_id,
+                "dstid": final_edge.target_id,
                 "optype": final_edge.relationship,
                 "starttime": final_edge.start_time,
                 "endtime": final_edge.end_time,
@@ -368,11 +378,7 @@ class TBQLExecutionEngine:
                 "edge_ids": path.edge_ids(),
             }
             bindings.append(
-                {
-                    pattern.subject.identifier: subject,
-                    pattern.obj.identifier: obj,
-                    f"@{pattern.event_id}": event,
-                }
+                {subject_key: entity(path.start), object_key: entity(path.end), event_key: event}
             )
         plan_summary = None
         if matcher.last_plan is not None:

@@ -2,15 +2,15 @@
 
 TBQL entity filters are small boolean expressions over entity attributes with
 SQL-LIKE wildcard semantics for string literals that contain ``%`` or ``_``.
-The SQL compiler needs them as relational
-:class:`~repro.storage.relational.expression.Expression` objects; the Cypher
-compiler needs them as Python predicates over a node's property dict.  Both
-conversions live here so the semantics stay identical across backends.
+Both backends take them as relational
+:class:`~repro.storage.relational.expression.Expression` objects — the
+relational engine over rows, the graph planner over a node's property dict —
+so the conversion lives here once and the semantics stay identical.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any
 
 from repro.auditing.entities import DEFAULT_ATTRIBUTE, EntityType
 from repro.storage.relational.database import ENTITY_SCHEMA, EVENT_SCHEMA
@@ -87,26 +87,6 @@ def filter_to_expression(
     return conjoin(children) if len(children) != 1 else children[0]
 
 
-def filter_to_predicate(
-    expression: FilterExpression | None, entity_type: EntityType
-) -> Callable[[Mapping[str, Any]], bool]:
-    """Convert a TBQL filter to a predicate over a property mapping.
-
-    Used by the Cypher/graph compiler, whose node patterns take Python
-    callables instead of relational expressions.
-    """
-    relational = filter_to_expression(expression, entity_type)
-
-    def predicate(properties: Mapping[str, Any]) -> bool:
-        try:
-            return bool(relational.evaluate(properties))
-        except Exception:
-            # Missing attribute on the node: the filter cannot match.
-            return False
-
-    return predicate
-
-
 def constraint_count(expression: FilterExpression | None) -> int:
     """Number of leaf comparisons in a filter (used by the pruning score)."""
     if expression is None:
@@ -118,5 +98,4 @@ __all__ = [
     "comparison_to_expression",
     "constraint_count",
     "filter_to_expression",
-    "filter_to_predicate",
 ]

@@ -9,9 +9,29 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.errors import QueryError
 from repro.storage.graph.graphdb import GraphDatabase
 from repro.storage.graph.model import Edge, Node, Path
-from repro.storage.graph.pattern import PathPattern
+from repro.storage.graph.pattern import NodePattern, PathPattern
+
+
+def _admits(node_pattern: NodePattern, node: Node) -> bool:
+    """The oracle's own endpoint test, independent of ``NodePattern.matches``.
+
+    Every constraint is tested on the node itself: the id set, the label and
+    exact properties, then the filter expression over the node's properties,
+    where a missing attribute means no match.
+    """
+    if node_pattern.allowed_ids is not None and node.node_id not in node_pattern.allowed_ids:
+        return False
+    if not node.matches(node_pattern.label, **node_pattern.properties):
+        return False
+    if node_pattern.filter is None:
+        return True
+    try:
+        return bool(node_pattern.filter.evaluate(node.properties))
+    except QueryError:
+        return False
 
 
 class PathMatcher:
@@ -43,7 +63,7 @@ class PathMatcher:
         the two code paths cannot drift apart.
         """
         for source in self._candidate_sources(pattern):
-            if pattern.source.matches(source):
+            if _admits(pattern.source, source):
                 yield from self._single_hop(source, pattern)
 
     # -- internals -----------------------------------------------------------
@@ -60,7 +80,7 @@ class PathMatcher:
             yield from self._graph.nodes_with_label(label)
 
     def _search_from(self, source: Node, pattern: PathPattern) -> Iterator[Path]:
-        if not pattern.source.matches(source):
+        if not _admits(pattern.source, source):
             return
         if pattern.max_length == 1:
             yield from self._single_hop(source, pattern)
@@ -87,7 +107,7 @@ class PathMatcher:
                 if (
                     hop_count >= pattern.min_length
                     and pattern.final_edge.matches(edge)
-                    and pattern.target.matches(next_node)
+                    and _admits(pattern.target, next_node)
                 ):
                     yield Path(
                         nodes=tuple(nodes + [next_node]),
@@ -112,5 +132,5 @@ class PathMatcher:
             if not pattern.final_edge.matches(edge):
                 continue
             target = self._graph.node(edge.target_id)
-            if pattern.target.matches(target):
+            if _admits(pattern.target, target):
                 yield Path(nodes=(source, target), edges=(edge,))

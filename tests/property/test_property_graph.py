@@ -7,10 +7,11 @@ Two independent oracles pin the new machinery down:
   (event patterns on the relational tables) and ``backend="graph"``; both
   must bind identical audit event-id sets and identical result rows;
 * **planner vs. DFS oracle** — randomized graph path patterns (direction,
-  lengths, windows, id constraints) are matched with the cost-guided
-  :class:`CostGuidedPathMatcher` and the always-forward DFS
+  lengths, windows, id constraints, endpoint filters) are matched with the
+  cost-guided :class:`CostGuidedPathMatcher` and the always-forward DFS
   :class:`~tests.oracles.PathMatcher`; the enumerated path sets must be
-  identical, whichever strategy the planner picks.
+  identical, whichever strategy the planner picks and with every strategy
+  forced.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from repro.auditing.trace import AuditTrace
 from repro.storage.graph.graphdb import GraphDatabase
 from repro.storage.graph.pattern import EdgePattern, NodePattern
 from repro.storage.graph.pattern import PathPattern as GraphPathPattern
-from repro.storage.graph.planner import CostGuidedPathMatcher
+from repro.storage.graph.planner import CostGuidedPathMatcher, SearchPlan
 from repro.storage.loader import AuditStore
+from repro.storage.relational.expression import And, Column, Comparison, Like, Literal, Or
 from repro.tbql.executor import TBQLExecutionEngine
 from tests.oracles import PathMatcher
 
@@ -50,11 +52,20 @@ _event_specs = st.lists(
 def _build_trace(specs) -> AuditTrace:
     """Five processes and five files, with randomized events between them."""
     entities = [
-        ProcessEntity(entity_id=index + 1, exename=_EXENAMES[index % len(_EXENAMES)], pid=index + 1)
+        ProcessEntity(
+            entity_id=index + 1,
+            exename=_EXENAMES[index % len(_EXENAMES)],
+            pid=index + 1,
+            host=f"h{index % 2}",
+        )
         for index in range(5)
     ]
     entities += [
-        FileEntity(entity_id=100 + index, name=f"{_FILENAMES[index % len(_FILENAMES)]}.{index}")
+        FileEntity(
+            entity_id=100 + index,
+            name=f"{_FILENAMES[index % len(_FILENAMES)]}.{index}",
+            host=f"h{index % 2}",
+        )
         for index in range(5)
     ]
     events = []
@@ -128,11 +139,29 @@ class TestCrossBackendParity:
         } == {event_id: set(ids) for event_id, ids in oracle.matched_event_ids.items()}
 
 
+#: Endpoint filters: one indexed property (``exename`` on processes, ``name``
+#: on files, so each is also an attribute the other label lacks), one
+#: unindexed property (``pid``, ``host``), two properties, and an attribute
+#: no node has.
+_FILTERS = [
+    None,
+    Like(Column("exename"), "%bash%"),
+    Like(Column("exename"), "%/bin/%", negate=True),
+    Like(Column("name"), "%staging%"),
+    Like(Column("pid"), "%2%"),
+    Like(Column("host"), "%1"),
+    Or([Like(Column("exename"), "%tar%"), Comparison(Column("pid"), "<", Literal(3))]),
+    And([Like(Column("host"), "h0"), Like(Column("name"), "%.1")]),
+    Like(Column("dstip"), "%"),
+]
+
 _pattern_specs = st.fixed_dictionaries(
     {
         "min_length": st.integers(1, 3),
         "extra_length": st.integers(0, 2),
         "source_exename": st.one_of(st.none(), st.sampled_from(_EXENAMES)),
+        "source_filter": st.sampled_from(_FILTERS),
+        "target_filter": st.sampled_from(_FILTERS),
         "target_label": st.sampled_from(["file", "process", None]),
         "relationship": st.sampled_from(["read", "write", "fork", None]),
         "window": st.one_of(
@@ -143,14 +172,21 @@ _pattern_specs = st.fixed_dictionaries(
         "source_ids": st.one_of(
             st.none(), st.frozensets(st.integers(1, 5), max_size=3)
         ),
+        "target_ids": st.one_of(
+            st.none(), st.frozensets(st.integers(1, 105), max_size=4)
+        ),
     }
 )
+
+
+def _path_set(paths) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    return {(path.node_ids(), path.edge_ids()) for path in paths}
 
 
 class TestPlannerAgainstOracle:
     """Every planner strategy enumerates exactly the oracle's path set."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(_event_specs, _pattern_specs)
     def test_match_sets_identical(self, specs, shape):
         graph = GraphDatabase()
@@ -162,9 +198,16 @@ class TestPlannerAgainstOracle:
         )
         pattern = GraphPathPattern(
             source=NodePattern(
-                label="process", properties=properties, allowed_ids=shape["source_ids"]
+                label="process",
+                properties=properties,
+                filter=shape["source_filter"],
+                allowed_ids=shape["source_ids"],
             ),
-            target=NodePattern(label=shape["target_label"]),
+            target=NodePattern(
+                label=shape["target_label"],
+                filter=shape["target_filter"],
+                allowed_ids=shape["target_ids"],
+            ),
             final_edge=EdgePattern(
                 relationship=shape["relationship"], window=shape["window"]
             ),
@@ -172,12 +215,23 @@ class TestPlannerAgainstOracle:
             max_length=shape["min_length"] + shape["extra_length"],
             enforce_temporal_order=shape["temporal"],
         )
-        oracle = {
-            (path.node_ids(), path.edge_ids())
-            for path in PathMatcher(graph).match(pattern)
-        }
+        oracle = _path_set(PathMatcher(graph).match(pattern))
         matcher = CostGuidedPathMatcher(graph)
-        planned = {
-            (path.node_ids(), path.edge_ids()) for path in matcher.match(pattern)
-        }
-        assert planned == oracle, matcher.last_plan
+        assert _path_set(matcher.match(pattern)) == oracle, matcher.last_plan
+        # The plan's own choice is one strategy; force every other one too.
+        sources = matcher._candidates(pattern.source)
+        targets = matcher._candidates(pattern.target)
+        forced = [("forward", False), ("forward", True), ("backward", False)]
+        if shape["window"] is not None:
+            forced.append(("window-seeded", False))
+        for strategy, reachability in forced:
+            plan = SearchPlan(
+                strategy=strategy,
+                source_candidates=len(sources),
+                target_candidates=len(targets),
+                uses_reachability=reachability,
+                sources=sources,
+                targets=targets,
+            )
+            with mock.patch.object(matcher, "plan", return_value=plan):
+                assert _path_set(matcher.match(pattern)) == oracle, plan

@@ -35,9 +35,10 @@ INT_COLUMNS = ("pid", "port")
 TEXT_COLUMNS = ("name", "host")
 COLUMNS = INT_COLUMNS + TEXT_COLUMNS
 
-# Small alphabets keep collision (and therefore match) probability high.
-_TEXT_ALPHABET = "ab5%_\\"
-_PATTERN_ALPHABET = "ab5%_\\"
+# Small alphabets keep collision (and therefore match) probability high.  The
+# newline pins LIKE's wildcards matching it and the match ending at the end.
+_TEXT_ALPHABET = "ab5%_\\\n"
+_PATTERN_ALPHABET = "ab5%_\\\n"
 
 ints = st.integers(min_value=-5, max_value=10)
 texts = st.text(alphabet=_TEXT_ALPHABET, max_size=6)
@@ -132,18 +133,31 @@ def _sqlite_matches(
         connection.close()
 
 
+def _assert_sqlite_agrees(expression: Expression, table_rows: list[dict[str, object]]) -> None:
+    expected = {
+        index + 1  # sqlite rowids are 1-based and insertion-ordered
+        for index, row in enumerate(table_rows)
+        if expression.evaluate(row)
+    }
+    assert _sqlite_matches(expression, table_rows) == expected
+
+
 class TestRendererAgreesWithEvaluate:
     @settings(max_examples=250, deadline=None)
     @given(expression=predicates, table_rows=rows)
     def test_rendered_sql_matches_evaluate_row_for_row(
         self, expression: Expression, table_rows: list[dict[str, object]]
     ) -> None:
-        expected = {
-            index + 1  # sqlite rowids are 1-based and insertion-ordered
-            for index, row in enumerate(table_rows)
-            if expression.evaluate(row)
-        }
-        assert _sqlite_matches(expression, table_rows) == expected
+        _assert_sqlite_agrees(expression, table_rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(expression=likes, table_rows=rows)
+    def test_like_matches_evaluate_row_for_row(
+        self, expression: Expression, table_rows: list[dict[str, object]]
+    ) -> None:
+        """A lone ``LIKE``: its escapes, wildcards and newlines meet sqlite's
+        far more often than inside a random expression tree."""
+        _assert_sqlite_agrees(expression, table_rows)
 
     @settings(max_examples=100, deadline=None)
     @given(expression=predicates, table_rows=rows)

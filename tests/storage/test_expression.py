@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.errors import QueryError
+from repro.storage.graph.model import Node
+from repro.storage.graph.pattern import NodePattern
 from repro.storage.relational.expression import (
     And,
     Between,
@@ -23,6 +27,7 @@ from repro.storage.relational.expression import (
     range_lookups,
     unescape_like,
 )
+from repro.storage.relational.vectorized import filter_positions
 from repro.storage.sql.render import render_expression
 
 
@@ -127,6 +132,38 @@ class TestLikeEscaping:
     def test_equality_lookup_unescapes(self):
         lookups = equality_lookups(Like(Column("name"), escape_like("a%b")))
         assert lookups == {"name": "a%b"}
+
+
+class TestLikeNewlines:
+    """``%`` and ``_`` match a newline and the match ends at the value's end.
+
+    Pre-fix the regex was ``^…$`` without ``DOTALL``: both engines disagreed
+    with SQL on all three cases (and a file name with a newline in it was a
+    cheap way to slip past a ``LIKE`` hunt).
+    """
+
+    CASES = [
+        ("%evil%", "a\nevil", True),
+        ("a_b", "a\nb", True),
+        ("%/tmp/x", "/a/tmp/x\n", False),
+    ]
+
+    @pytest.mark.parametrize("pattern, value, expected", CASES)
+    def test_sqlite_agrees(self, pattern, value, expected):
+        [(matched,)] = sqlite3.connect(":memory:").execute("SELECT ? LIKE ?", (value, pattern))
+        assert bool(matched) is expected
+
+    @pytest.mark.parametrize("pattern, value, expected", CASES)
+    def test_row_and_vectorized_engines(self, pattern, value, expected):
+        like = Like(Column("name"), pattern)
+        assert like.evaluate({"name": value}) is expected
+        assert filter_positions({"name": [value]}, 1, like) == ([0] if expected else [])
+        assert Like(Column("name"), pattern, negate=True).evaluate({"name": value}) is not expected
+
+    @pytest.mark.parametrize("pattern, value, expected", CASES)
+    def test_graph_node_filter(self, pattern, value, expected):
+        node = Node(node_id=1, label="file", properties={"name": value})
+        assert NodePattern(filter=Like(Column("name"), pattern)).matches(node) is expected
 
 
 class TestCombinators:

@@ -11,6 +11,7 @@ from repro.storage.graph.cypher import render_path_pattern
 from repro.storage.graph.graphdb import GraphDatabase
 from repro.storage.graph.model import Edge, Node
 from repro.storage.graph.pattern import EdgePattern, NodePattern, PathPattern
+from repro.storage.relational.expression import Column, Expression, Like
 from tests.oracles import PathMatcher
 
 
@@ -49,10 +50,22 @@ class TestNodeEdgePatterns:
         assert not pattern.matches(chain_graph.node(2))
         assert not pattern.matches(chain_graph.node(3))
 
-    def test_node_pattern_predicate(self, chain_graph: GraphDatabase):
-        pattern = NodePattern(predicate=lambda node: "tar" in str(node.get("name", "")))
+    def test_node_pattern_filter(self, chain_graph: GraphDatabase):
+        pattern = NodePattern(filter=Like(Column("name"), "%tar%"))
         assert pattern.matches(chain_graph.node(4))
         assert not pattern.matches(chain_graph.node(3))
+        # A process has no ``name``: the filter cannot match it.
+        assert not pattern.matches(chain_graph.node(1))
+
+    def test_node_pattern_filter_errors_other_than_missing_attributes_propagate(
+        self, chain_graph: GraphDatabase
+    ):
+        class Broken(Expression):
+            def evaluate(self, row):
+                raise ZeroDivisionError("boom")
+
+        with pytest.raises(ZeroDivisionError):
+            NodePattern(filter=Broken()).matches(chain_graph.node(1))
 
     def test_edge_pattern(self, chain_graph: GraphDatabase):
         pattern = EdgePattern(relationship="read", predicate=lambda edge: edge.start_time >= 300)
@@ -225,10 +238,7 @@ class TestSingleEdgeFastPath:
         ``_single_hop`` (and skipped the source predicate check); it now
         delegates, so the two cannot drift."""
         pattern = PathPattern(
-            source=NodePattern(
-                label="process",
-                predicate=lambda node: "tar" in str(node.get("exename", "")),
-            ),
+            source=NodePattern(label="process", filter=Like(Column("exename"), "%tar%")),
             target=NodePattern(label="file"),
             final_edge=EdgePattern(),
         )

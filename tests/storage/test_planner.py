@@ -8,8 +8,10 @@ from repro.auditing.entities import FileEntity, ProcessEntity
 from repro.auditing.events import EntityType, Operation, SystemEvent
 from repro.auditing.trace import AuditTrace
 from repro.storage.graph.graphdb import GraphDatabase
+from repro.storage.graph.model import Edge, Node
 from repro.storage.graph.pattern import EdgePattern, NodePattern, PathPattern
 from repro.storage.graph.planner import CostGuidedPathMatcher
+from repro.storage.relational.expression import Column, Like, Literal, Not, Or
 from tests.oracles import PathMatcher
 
 
@@ -158,6 +160,48 @@ class TestStrategySelection:
         plan = matcher.last_plan
         assert plan.strategy == "forward" and plan.uses_reachability
         assert result == _paths(PathMatcher(graph), pattern)
+
+
+class TestIndexedFilterCandidates:
+    """A filter over one indexed property is tested per distinct value; label
+    nodes outside the index (value ``None`` or missing) still get the answer a
+    per-node test gives."""
+
+    @pytest.fixture
+    def graph(self) -> GraphDatabase:
+        graph = GraphDatabase()
+        graph.add_node(Node(node_id=1, label="process", properties={"exename": "/bin/bash"}))
+        graph.add_node(Node(node_id=2, label="process", properties={"exename": "/bin/tar"}))
+        graph.add_node(Node(node_id=3, label="process", properties={"exename": None}))
+        graph.add_node(Node(node_id=4, label="process", properties={"pid": 4}))
+        graph.add_node(Node(node_id=5, label="file", properties={"name": "/tmp/out"}))
+        for node_id in range(1, 5):
+            graph.add_edge(
+                Edge(edge_id=node_id, source_id=node_id, target_id=5, relationship="write",
+                     properties={"starttime": node_id, "endtime": node_id})
+            )
+        return graph
+
+    @pytest.mark.parametrize(
+        "source_filter, expected",
+        [
+            (Like(Column("exename"), "%bash%"), {1}),
+            (Like(Column("exename"), "%bash%", negate=True), {2}),
+            # Holds on a ``None`` value; the node without the attribute still
+            # cannot match.
+            (Not(Like(Column("exename"), "%bash%")), {2, 3}),
+            (Or([Literal(True), Like(Column("exename"), "%bash%")]), {1, 2, 3, 4}),
+        ],
+    )
+    def test_candidates_equal_a_per_node_test(self, graph, source_filter, expected):
+        pattern = PathPattern(
+            source=NodePattern(label="process", filter=source_filter),
+            target=NodePattern(label="file"),
+            final_edge=EdgePattern(relationship="write"),
+        )
+        plan = CostGuidedPathMatcher(graph).plan(pattern)
+        assert {node.node_id for node in plan.sources} == expected
+        assert {path.start.node_id for path in PathMatcher(graph).match(pattern)} == expected
 
 
 class TestSelfLoopSemantics:

@@ -21,7 +21,6 @@ from repro.tbql.filters import (
     comparison_to_expression,
     constraint_count,
     filter_to_expression,
-    filter_to_predicate,
 )
 from repro.tbql.ast import AttributeComparison, FilterExpression
 from repro.tbql.parser import parse_query
@@ -75,10 +74,11 @@ class TestFilterBridging:
         expression = filter_to_expression(None, EntityType.FILE)
         assert expression.evaluate({})
 
-    def test_predicate_handles_missing_attribute(self):
+    def test_node_filter_handles_missing_attribute(self):
         pattern = _first_pattern('proc p["%tar%"] read file f as e return p')
-        predicate = filter_to_predicate(pattern.subject.filter, EntityType.PROCESS)
-        assert not predicate({})
+        source = build_path_pattern(pattern).source
+        assert source.filter == filter_to_expression(pattern.subject.filter, EntityType.PROCESS)
+        assert not source.matches(Node(node_id=1, label="process", properties={}))
 
     def test_constraint_count(self):
         pattern = _first_pattern('proc p[pid > 100 and exename = "%sh%"] read file f["%x%"] as e return p')

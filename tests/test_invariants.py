@@ -145,6 +145,40 @@ class TestMutableDefaultCheck:
         assert violations == []
 
 
+class TestPerRowCompileCheck:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import re\nclass Like:\n    def evaluate(self, row):\n"
+            "        return re.compile(self.pattern).match(row['v'])\n",
+            "class NodePattern:\n    def matches(self, node):\n"
+            "        return any(w for w, _ in like_tokens(self.pattern))\n",
+            # Through a helper of the same class, as the LIKE once was.
+            "import re\nclass Like:\n    def _regex(self):\n"
+            "        return re.compile(''.join(c for _, c in like_tokens(self.pattern)))\n"
+            "    def evaluate(self, row):\n        return self._regex().match(row['v'])\n",
+        ],
+    )
+    def test_flags_compiling_inside_evaluate_or_matches(self, invariants, source):
+        [violation] = _check(invariants, "check_no_per_row_compile", source)
+        assert "runs per row" in violation.message
+
+    def test_allows_compiling_once_outside_them(self, invariants):
+        violations = _check(
+            invariants,
+            "check_no_per_row_compile",
+            "import re\n"
+            "def like_regex(pattern):\n"
+            "    return re.compile(''.join(c for _, c in like_tokens(pattern)))\n"
+            "class Like:\n"
+            "    def __post_init__(self):\n"
+            "        self.regex = like_regex(self.pattern)\n"
+            "    def evaluate(self, row):\n"
+            "        return self.regex.match(row['v'])\n",
+        )
+        assert violations == []
+
+
 class TestImportBoundaryCheck:
     @pytest.mark.parametrize(
         "source",
