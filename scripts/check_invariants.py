@@ -29,6 +29,10 @@ know about:
 * **No per-row compilation in ``storage/``** — no ``re.compile`` or
   ``like_tokens`` call inside an ``evaluate`` or ``matches`` method: a LIKE
   is compiled once per distinct pattern, never per row or graph node.
+* **One ingest path in ``storage/``** — no class but ``AuditStore`` defines
+  ``load_trace``, ``load_entities`` or ``load_events``: a backend takes rows
+  through ``append_batch`` only, and a whole-trace load is a stream with one
+  batch.
 
 Exit status: 0 when clean, 1 with one ``file:line: message`` per violation
 otherwise.  Run as ``python scripts/check_invariants.py`` from the repo root.
@@ -85,6 +89,10 @@ _MUTABLE_DEFAULT_NODES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictCom
 
 #: Methods the storage engines call once per row or node.
 _PER_ROW_METHODS = {"evaluate", "matches"}
+
+#: Whole-trace loaders only ``AuditStore`` may define under ``storage/``.
+_LOAD_METHODS = {"load_trace", "load_entities", "load_events"}
+_LOADING_CLASS = "AuditStore"
 
 
 def _dotted(node: ast.AST) -> tuple[str, ...]:
@@ -269,6 +277,27 @@ def check_no_per_row_compile(path: Path, tree: ast.Module) -> list[Violation]:
     return violations
 
 
+def check_one_ingest_path(path: Path, tree: ast.Module) -> list[Violation]:
+    """No class but ``AuditStore`` defines a whole-trace loader."""
+    violations: list[Violation] = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, ast.ClassDef) or scope.name == _LOADING_CLASS:
+            continue
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                node.name in _LOAD_METHODS
+            ):
+                violations.append(
+                    Violation(
+                        path,
+                        node.lineno,
+                        f"{scope.name}.{node.name}() is a second ingest path; a backend "
+                        f"takes rows through append_batch, loads go through {_LOADING_CLASS}",
+                    )
+                )
+    return violations
+
+
 def run() -> int:
     violations: list[Violation] = []
     for path in sorted(SRC_ROOT.rglob("*.py")):
@@ -278,6 +307,7 @@ def run() -> int:
             violations.extend(check_determinism(path, tree))
         if relative.startswith("storage/"):
             violations.extend(check_no_per_row_compile(path, tree))
+            violations.extend(check_one_ingest_path(path, tree))
         violations.extend(check_fsync_before_replace(path, tree))
         violations.extend(check_mutable_defaults(path, tree))
         violations.extend(check_import_boundaries(path, tree, relative))

@@ -26,18 +26,12 @@ from repro.auditing.events import (
     event_type_for_object,
 )
 from repro.auditing.parser import AuditLogParser, ParseStatistics, parse_log_text
-from repro.auditing.reduction import (
-    CausalityPreservedReducer,
-    IncrementalReducer,
-    ReductionStats,
-    reduce_trace,
-)
+from repro.auditing.reduction import IncrementalReducer, ReductionStats
 from repro.auditing.trace import AuditTrace
 
 __all__ = [
     "AuditLogParser",
     "AuditTrace",
-    "CausalityPreservedReducer",
     "DEFAULT_ATTRIBUTE",
     "ENTITY_ATTRIBUTES",
     "EntityFactory",
@@ -58,5 +52,4 @@ __all__ = [
     "event_from_row",
     "event_type_for_object",
     "parse_log_text",
-    "reduce_trace",
 ]

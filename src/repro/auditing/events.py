@@ -170,24 +170,6 @@ class SystemEvent:
             "host": self.host,
         }
 
-    def merged_with(self, other: "SystemEvent") -> "SystemEvent":
-        """Return a new event covering both time windows with summed amounts.
-
-        Used by Causality Preserved Reduction when merging excessive events
-        between the same ⟨subject, object, operation⟩ triple.
-        """
-        if (self.subject_id, self.object_id, self.operation) != (
-            other.subject_id,
-            other.object_id,
-            other.operation,
-        ):
-            raise ValueError("can only merge events over the same edge")
-        return self.spanning(
-            min(self.start_time, other.start_time),
-            max(self.end_time, other.end_time),
-            self.amount + other.amount,
-        )
-
     def spanning(self, start_time: int, end_time: int, amount: int) -> "SystemEvent":
         """This event (same id, edge and host) over another window and byte count."""
         return SystemEvent(

@@ -30,7 +30,6 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from repro.auditing.entities import SystemEntity
 from repro.auditing.events import SystemEvent
-from repro.auditing.trace import AuditTrace
 from repro.errors import QueryError
 from repro.storage.graph.model import Edge, Node
 
@@ -174,9 +173,18 @@ class GraphDatabase:
             bucket = by_type.setdefault(relationship, _TimeSortedEdges())
         return bucket
 
-    def load_entities(self, entities: Iterable[SystemEntity]) -> int:
-        """Load system entities as nodes; returns the count loaded."""
-        count = 0
+    def append_batch(
+        self, entities: Iterable[SystemEntity], events: Iterable[SystemEvent]
+    ) -> dict[str, int]:
+        """Add one batch of entities as nodes and events as edges; returns
+        node/edge counts.
+
+        Raises:
+            QueryError: on a node or edge id already stored, or an edge whose
+                endpoint is unknown.  :class:`~repro.storage.loader.AuditStore`
+                drops stored entities and refuses such events first.
+        """
+        nodes = 0
         for entity in entities:
             self.add_node(
                 Node(
@@ -185,12 +193,8 @@ class GraphDatabase:
                     properties=dict(entity.attributes(), host=entity.host),
                 )
             )
-            count += 1
-        return count
-
-    def load_events(self, events: Iterable[SystemEvent]) -> int:
-        """Load system events as edges; returns the count loaded."""
-        count = 0
+            nodes += 1
+        edges = 0
         for event in events:
             self.add_edge(
                 Edge(
@@ -207,17 +211,8 @@ class GraphDatabase:
                     },
                 )
             )
-            count += 1
-        return count
-
-    def load_trace(self, trace: AuditTrace) -> dict[str, int]:
-        """Load a full audit trace; returns node/edge counts loaded."""
-        return {
-            "nodes": self.load_entities(trace.entities),
-            "edges": self.load_events(trace.events),
-        }
-
-    # -- incremental loading -------------------------------------------------
+            edges += 1
+        return {"nodes": nodes, "edges": edges}
 
     def has_node(self, node_id: int) -> bool:
         """True when a node with ``node_id`` is already stored."""
@@ -226,26 +221,6 @@ class GraphDatabase:
     def has_edge(self, edge_id: int) -> bool:
         """True when an edge with ``edge_id`` is already stored."""
         return edge_id in self._edges
-
-    def append_entities(self, entities: Iterable[SystemEntity]) -> int:
-        """Load entities whose ids are not yet present; returns the number added."""
-        return self.load_entities(
-            entity for entity in entities if entity.entity_id not in self._nodes
-        )
-
-    def append_batch(
-        self, entities: Iterable[SystemEntity], events: Iterable[SystemEvent]
-    ) -> dict[str, int]:
-        """Incrementally append one micro-batch of entities and events.
-
-        Unlike :meth:`load_trace` this is safe to call repeatedly: nodes for
-        entities observed in earlier batches are skipped rather than rejected
-        as duplicates.
-        """
-        return {
-            "nodes": self.append_entities(entities),
-            "edges": self.load_events(events),
-        }
 
     # -- node access ---------------------------------------------------------
 

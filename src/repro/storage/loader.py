@@ -8,18 +8,16 @@ engine can be handed a single object.  The two backends are the only copies
 of the stored data: the store keeps no trace of its own, and ground-truth
 labels stay with the traces the generators produce.
 
-Two loading modes are supported:
-
-* **whole-trace loads** (:meth:`AuditStore.load_trace`) — the batch path the
-  paper demonstrates.  Loading replaces whatever the store held before, so
-  repeated loads are well-defined;
-* **incremental appends** (:meth:`AuditStore.append_batch`) — the streaming
-  path used by :mod:`repro.streaming`.  Micro-batches of events are run
-  through an :class:`~repro.auditing.reduction.IncrementalReducer` whose
-  merge-window state persists across batches, so the stored event set matches
-  what one whole-trace reduction would have produced.  Events still awaiting a
-  merge decision stay *pending* (not yet visible to queries) until sealed by
-  later batches or an explicit :meth:`AuditStore.flush`.
+There is one loading path.  :meth:`AuditStore.append_batch` — the streaming
+path :mod:`repro.streaming` uses — runs each micro-batch of events through an
+:class:`~repro.auditing.reduction.IncrementalReducer` whose merge-window state
+persists across batches, then hands the sealed events to both backends.
+Events still awaiting a merge decision stay *pending* (not yet visible to
+queries) until sealed by later batches or an explicit :meth:`AuditStore.flush`.
+A whole-trace load (:meth:`AuditStore.load_trace`, the batch path the paper
+demonstrates) is a stream with one batch: it replaces whatever the store held,
+reduces the trace in one ``ingest`` plus ``flush``, and stores the result in
+``(start_time, event_id)`` order through the same store step.
 """
 
 from __future__ import annotations
@@ -27,11 +25,11 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.auditing.entities import SystemEntity, entity_from_row
 from repro.auditing.events import SystemEvent, event_from_row
-from repro.auditing.reduction import CausalityPreservedReducer, ReductionStats
+from repro.auditing.reduction import IncrementalReducer, ReductionStats
 from repro.auditing.trace import AuditTrace
 from repro.errors import StorageError
 from repro.storage.graph.graphdb import GraphDatabase
@@ -70,31 +68,13 @@ class AppendReport:
     pending_events: int = 0
 
 
-def _refuse_repeated_ids(
-    event_ids: Iterable[int], taken: Callable[[int], bool] = lambda _: False
-) -> None:
-    """Raise :class:`StorageError` naming the first id in ``event_ids`` that
-    repeats an earlier one or is already ``taken``.
-
-    An audit event id names one record.  Stored twice, the reducer would merge
-    the repeat into the original and the graph would refuse it after the
-    relational table had taken the row, so a repeat is refused before either
-    backend is written.
-    """
-    seen: set[int] = set()
-    for event_id in event_ids:
-        if event_id in seen or taken(event_id):
-            raise StorageError(f"duplicate audit event id {event_id}")
-        seen.add(event_id)
-
-
 class AuditStore:
     """The combined storage component: relational + graph backends.
 
     Args:
         apply_reduction: Run Causality Preserved Reduction before loading.
         merge_window_ns: CPR merge window (see
-            :class:`~repro.auditing.reduction.CausalityPreservedReducer`).
+            :class:`~repro.auditing.reduction.IncrementalReducer`).
         storage: ``"memory"`` (the in-memory relational store, the default) or
             ``"segments"`` (the durable
             :class:`~repro.storage.segment.database.SegmentedRelationalDatabase`).
@@ -131,9 +111,8 @@ class AuditStore:
             self.data_dir = None
             self.relational = RelationalDatabase()
         self.graph = GraphDatabase()
-        self._apply_reduction = apply_reduction
-        self._reducer = CausalityPreservedReducer(merge_window_ns=merge_window_ns)
-        self._incremental = self._reducer.incremental() if apply_reduction else None
+        self._merge_window_ns = merge_window_ns
+        self._incremental = IncrementalReducer(merge_window_ns) if apply_reduction else None
         self._generation = 0
         if storage == "segments":
             self._rehydrate_from_segments()
@@ -145,10 +124,10 @@ class AuditStore:
         post-reduction, so the graph holds what the previous process stored.
         """
         assert isinstance(self.relational, SegmentedRelationalDatabase)
-        self.graph.load_entities(
-            entity_from_row(row) for row in self.relational.table("entities").scan()
+        self.graph.append_batch(
+            (entity_from_row(row) for row in self.relational.table("entities").scan()),
+            (event_from_row(row) for row in self.relational.event_rows()),
         )
-        self.graph.load_events(event_from_row(row) for row in self.relational.event_rows())
 
     @property
     def generation(self) -> int:
@@ -161,70 +140,57 @@ class AuditStore:
         """Drop all stored data and incremental-reduction state."""
         self.relational.clear()
         self.graph.clear()
-        if self._apply_reduction:
-            self._incremental = self._reducer.incremental()
+        if self._incremental is not None:
+            self._incremental = IncrementalReducer(self._merge_window_ns)
         self._generation += 1
-
-    # -- whole-trace loading -------------------------------------------------
 
     def load_trace(self, trace: AuditTrace) -> LoadReport:
         """Load one audit trace into both backends.
 
         Loading **replaces** the store's contents, so calling
         :meth:`load_trace` twice leaves exactly the second trace stored; use
-        :meth:`append_batch` to add to what is stored.
-
-        When reduction is enabled the reduced trace is what gets stored,
-        matching the paper's deployment; the store does not hold on to either
-        trace.
+        :meth:`append_batch` to add to what is stored.  The trace is a stream
+        with one batch: with reduction enabled it is reduced in one ``ingest``
+        plus ``flush`` and stored in ``(start_time, event_id)`` order, matching
+        the paper's deployment.  The store does not hold on to the trace.
 
         Raises:
-            StorageError: if two events of ``trace`` share an id.  Nothing is
-                written: the store keeps what it held before.
+            StorageError: as :meth:`append_batch`, checked against an empty
+                store.  Nothing is written: the store keeps what it held.
         """
-        _refuse_repeated_ids(event.event_id for event in trace.events)
+        entities, events = self._admit(trace.entities, trace.events, replacing=True)
         self.reset()
         report = LoadReport()
-        to_load = trace
-        if self._apply_reduction:
-            to_load, report.reduction = self._reducer.reduce(trace)
-        report.relational_rows = self.relational.load_trace(to_load)
-        report.graph_counts = self.graph.load_trace(to_load)
-        self._generation += 1
+        if self._incremental is not None:
+            events = self._incremental.ingest(events) + self._incremental.flush()
+            events.sort(key=lambda e: (e.start_time, e.event_id))
+            report.reduction = self._incremental.statistics()
+        report.relational_rows, report.graph_counts = self._store(entities, events)
         return report
-
-    # -- incremental loading -------------------------------------------------
 
     def append_batch(
         self, entities: Iterable[SystemEntity], events: Iterable[SystemEvent]
     ) -> AppendReport:
         """Append one micro-batch of audit data to both backends.
 
-        New entities are stored immediately (deduplicated against earlier
-        batches by id).  Events pass through the incremental reducer first when
-        reduction is enabled: only *sealed* events — those that can no longer
-        absorb merges — are stored and reported; the rest stay pending until a
-        later batch or :meth:`flush` seals them.
+        New entities are stored immediately; an entity id already stored, or
+        repeated in the batch, keeps its first record.  Events pass through
+        the incremental reducer first when reduction is enabled: only *sealed*
+        events — those that can no longer absorb merges — are stored and
+        reported; the rest stay pending until a later batch or :meth:`flush`
+        seals them.
 
         Raises:
             StorageError: if an event id repeats within the batch, or names an
-                event already stored or still pending in the reducer.  Nothing
-                is written and :attr:`generation` does not advance.
+                event already stored or still pending in the reducer; or if an
+                event's subject or object is neither stored nor in the batch.
+                Nothing is written and :attr:`generation` does not advance.
         """
-        event_list = list(events)
-        incremental = self._incremental
-        _refuse_repeated_ids(
-            (event.event_id for event in event_list),
-            lambda event_id: self.graph.has_edge(event_id)
-            or (incremental is not None and incremental.is_pending(event_id)),
-        )
-        report = AppendReport()
-        new_entities = [entity for entity in entities if not self.graph.has_node(entity.entity_id)]
-        report.events_ingested = len(event_list)
-        stored_events = (
-            self._incremental.ingest(event_list) if self._incremental is not None else event_list
-        )
-        self._store_increment(new_entities, stored_events, report)
+        new_entities, event_list = self._admit(entities, events, replacing=False)
+        report = AppendReport(events_ingested=len(event_list))
+        if self._incremental is not None:
+            event_list = self._incremental.ingest(event_list)
+        self._report_increment(new_entities, event_list, report)
         return report
 
     def flush(self) -> AppendReport:
@@ -235,26 +201,66 @@ class AuditStore:
         """
         report = AppendReport()
         if self._incremental is not None:
-            self._store_increment([], self._incremental.flush(), report)
+            self._report_increment([], self._incremental.flush(), report)
         if isinstance(self.relational, SegmentedRelationalDatabase):
             self.relational.seal()
         return report
 
-    def _store_increment(
-        self,
-        new_entities: list[SystemEntity],
-        stored_events: list[SystemEvent],
-        report: AppendReport,
+    def _admit(
+        self, entities: Iterable[SystemEntity], events: Iterable[SystemEvent], replacing: bool
+    ) -> tuple[list[SystemEntity], list[SystemEvent]]:
+        """The batch's entities not yet stored (first record per id) and its
+        events, or :class:`StorageError` before anything is written.
+
+        ``replacing`` checks the batch against an empty store, as
+        :meth:`load_trace` sees it after :meth:`reset`.  An audit event id
+        names one record: stored twice, the reducer would merge the repeat
+        into the original.  An event whose endpoint no entity names would be
+        a dangling row in the relational table and an edge the graph refuses.
+        """
+        first: dict[int, SystemEntity] = {}
+        for entity in entities:
+            first.setdefault(entity.entity_id, entity)
+        if replacing:  # after reset() the store holds no id
+            stored_node = stored_edge = frozenset().__contains__
+        else:
+            stored_node, stored_edge = self.graph.has_node, self.graph.has_edge
+        incremental = None if replacing else self._incremental
+        event_list = list(events)
+        seen: set[int] = set()
+        for event in event_list:
+            event_id = event.event_id
+            if (
+                event_id in seen
+                or stored_edge(event_id)
+                or (incremental is not None and incremental.is_pending(event_id))
+            ):
+                raise StorageError(f"duplicate audit event id {event_id}")
+            seen.add(event_id)
+            for entity_id in (event.subject_id, event.object_id):
+                if entity_id not in first and not stored_node(entity_id):
+                    raise StorageError(f"audit event {event_id}: unknown entity id {entity_id}")
+        new_entities = [entity for entity_id, entity in first.items() if not stored_node(entity_id)]
+        return new_entities, event_list
+
+    def _store(
+        self, entities: list[SystemEntity], events: list[SystemEvent]
+    ) -> tuple[dict[str, int], dict[str, int]]:
+        """Write one batch to both backends; returns their row counts."""
+        relational = self.relational.append_batch(entities, events)
+        graph = self.graph.append_batch(entities, events)
+        if relational["entities"] or relational["events"]:
+            self._generation += 1
+        return relational, graph
+
+    def _report_increment(
+        self, entities: list[SystemEntity], events: list[SystemEvent], report: AppendReport
     ) -> None:
-        relational = self.relational.append_batch(new_entities, stored_events)
-        self.graph.append_batch(new_entities, stored_events)
+        relational, _ = self._store(entities, events)
         report.appended_entities = relational["entities"]
         report.appended_events = relational["events"]
-        report.stored_events = stored_events
-        if self._incremental is not None:
-            report.pending_events = self._incremental.pending_count
-        if report.appended_entities or report.appended_events:
-            self._generation += 1
+        report.stored_events = events
+        report.pending_events = self.pending_events
 
     @property
     def pending_events(self) -> int:

@@ -3,8 +3,8 @@
 :class:`RelationalDatabase` owns the audit schema — an ``entities`` table and
 an ``events`` table, mirroring how the paper stores "system entities and
 system events in tables" — plus the indexes "created on key attributes to
-speed up the search".  It exposes bulk loading from an
-:class:`~repro.auditing.trace.AuditTrace` and query execution through
+speed up the search".  It takes rows in batches
+(:meth:`RelationalDatabase.append_batch`) and executes queries through
 :class:`~repro.storage.relational.executor.QueryExecutor`.
 """
 
@@ -14,7 +14,6 @@ from typing import Any, Iterable
 
 from repro.auditing.entities import SystemEntity
 from repro.auditing.events import SystemEvent
-from repro.auditing.trace import AuditTrace
 from repro.errors import QueryError
 from repro.storage.relational.executor import ExecutionPlan, QueryExecutor
 from repro.storage.relational.query import QueryResult, SelectQuery
@@ -110,51 +109,21 @@ class RelationalDatabase:
 
     # -- loading -----------------------------------------------------------
 
-    def load_entities(self, entities: Iterable[SystemEntity]) -> int:
-        """Bulk-insert entities; returns the number inserted."""
-        return self._tables["entities"].insert_many(entity.to_row() for entity in entities)
-
-    def load_events(self, events: Iterable[SystemEvent]) -> int:
-        """Bulk-insert events; returns the number inserted."""
-        return self._tables["events"].insert_many(event.to_row() for event in events)
-
-    def load_trace(self, trace: AuditTrace) -> dict[str, int]:
-        """Load a full audit trace; returns per-table row counts inserted."""
-        return {
-            "entities": self.load_entities(trace.entities),
-            "events": self.load_events(trace.events),
-        }
-
-    # -- incremental loading -------------------------------------------------
-
     def has_entity(self, entity_id: int) -> bool:
         """True when an entity row with ``entity_id`` is already stored."""
         return next(self._tables["entities"].lookup_equal("id", entity_id), None) is not None
 
-    def append_entities(self, entities: Iterable[SystemEntity]) -> int:
-        """Insert entities not yet present (by id); returns the number added."""
-        count = 0
-        for entity in entities:
-            if not self.has_entity(entity.entity_id):
-                self._tables["entities"].insert(entity.to_row())
-                count += 1
-        return count
-
-    def append_events(self, events: Iterable[SystemEvent]) -> int:
-        """Append events to the store; returns the number added."""
-        return self.load_events(events)
-
     def append_batch(
         self, entities: Iterable[SystemEntity], events: Iterable[SystemEvent]
     ) -> dict[str, int]:
-        """Incrementally append one micro-batch of entities and events.
+        """Insert one batch of entity and event rows; returns per-table counts.
 
-        Unlike :meth:`load_trace` this is safe to call repeatedly: entities
-        observed in earlier batches are skipped rather than duplicated.
+        Rows are inserted as given: :class:`~repro.storage.loader.AuditStore`
+        drops entities already stored and refuses repeated event ids first.
         """
         return {
-            "entities": self.append_entities(entities),
-            "events": self.append_events(events),
+            "entities": self._tables["entities"].insert_many(e.to_row() for e in entities),
+            "events": self._tables["events"].insert_many(e.to_row() for e in events),
         }
 
     # -- querying ----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Durable, time-partitioned drop-in for :class:`RelationalDatabase`.
 
 :class:`SegmentedRelationalDatabase` answers the same ``execute(SelectQuery)``
-and accepts the same bulk and incremental loads as the in-memory relational
-store, but persists events to disk:
+and takes the same batches as the in-memory relational store, but persists
+events to disk:
 
 * The **memtable** is a :class:`~repro.storage.relational.database.RelationalDatabase`
   holding every entity and the unsealed events.  Once it holds
@@ -33,7 +33,6 @@ from typing import Any, Iterable, Iterator
 
 from repro.auditing.entities import SystemEntity
 from repro.auditing.events import SystemEvent
-from repro.auditing.trace import AuditTrace
 from repro.errors import QueryError, SegmentError
 from repro.storage.relational.database import (
     ENTITY_SCHEMA,
@@ -141,37 +140,25 @@ class SegmentedRelationalDatabase:
 
     # -- loading -------------------------------------------------------------
 
-    def load_trace(self, trace: AuditTrace) -> dict[str, int]:
-        return {
-            "entities": self._memtable.load_entities(trace.entities),
-            "events": self._append_events(trace.events),
-        }
-
     def append_batch(
         self, entities: Iterable[SystemEntity], events: Iterable[SystemEvent]
     ) -> dict[str, int]:
-        return {
-            "entities": self._memtable.append_entities(entities),
-            "events": self._append_events(events),
-        }
-
-    def _append_events(self, events: Iterable[SystemEvent]) -> int:
+        counts = self._memtable.append_batch(entities, ())
         # Insert in seal-threshold chunks rather than all at once: traces
         # arrive in collection (≈time) order, so sealing as the memtable
         # fills is what makes segments time-partitioned and prunable.
-        count = 0
         unsealed = len(self._memtable.table("events"))
         batch: list[SystemEvent] = []
         for event in events:
             batch.append(event)
             if unsealed + len(batch) >= self._segment_rows:
-                count += self._memtable.load_events(batch)
+                counts["events"] += self._memtable.append_batch((), batch)["events"]
                 batch = []
                 self.seal()
                 unsealed = 0
-        count += self._memtable.load_events(batch)
+        counts["events"] += self._memtable.append_batch((), batch)["events"]
         self._invalidate_combined()
-        return count
+        return counts
 
     # -- sealing ---------------------------------------------------------------
 

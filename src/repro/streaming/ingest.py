@@ -2,10 +2,10 @@
 
 :class:`StreamIngestor` is the bridge between an event source and the
 :class:`~repro.storage.loader.AuditStore`: it groups streamed records into
-micro-batches, deduplicates entities, and appends each batch into both storage
-backends through :meth:`AuditStore.append_batch` — which runs the events
-through the incremental Causality Preserved Reduction so the stored data
-matches what a whole-trace batch load would have produced.
+micro-batches and appends each batch into both storage backends through
+:meth:`AuditStore.append_batch` — which keeps one record per entity id and runs
+the events through the incremental Causality Preserved Reduction, so the
+stored data matches what a whole-trace load would have produced.
 """
 
 from __future__ import annotations

@@ -84,20 +84,18 @@ class TestSystemEvent:
         row["objecttype"] = event.object_type.value
         assert event_from_row(row) == event
 
-    def test_merged_with_sums_amount_and_extends_window(self):
-        first = self._event(start=100, end=200, amount=10)
-        second = self._event(event_id=2, start=300, end=400, amount=5)
-        merged = first.merged_with(second)
-        assert merged.start_time == 100
-        assert merged.end_time == 400
-        assert merged.amount == 15
-        assert merged.event_id == first.event_id
+    def test_spanning_takes_the_window_and_amount_and_keeps_the_rest(self):
+        first = self._event(start=100, end=200, amount=10, host="h1")
+        merged = first.spanning(100, 400, 15)
+        assert (merged.start_time, merged.end_time, merged.amount) == (100, 400, 15)
+        assert (merged.event_id, merged.subject_id, merged.object_id, merged.operation) == (
+            first.event_id, first.subject_id, first.object_id, first.operation,
+        )
+        assert merged.host == "h1"
 
-    def test_merged_with_different_edge_rejected(self):
-        first = self._event()
-        other = self._event(event_id=2, object_id=99)
-        with pytest.raises(ValueError, match="same edge"):
-            first.merged_with(other)
+    def test_spanning_an_inverted_window_rejected(self):
+        with pytest.raises(ValueError, match="precedes"):
+            self._event(start=100, end=200).spanning(300, 200, 0)
 
 
 class TestEventFactory:

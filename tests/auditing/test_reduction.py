@@ -1,10 +1,15 @@
-"""Unit tests for Causality Preserved Reduction."""
+"""Unit tests for Causality Preserved Reduction.
+
+The product reduces through :class:`IncrementalReducer` only; a whole trace is
+one batch.  ``tests/oracles/cpr.py`` keeps the whole-trace loop as the
+reference it must equal.
+"""
 
 from __future__ import annotations
 
 from repro.auditing.entities import EntityType, FileEntity, NetworkEntity, ProcessEntity
 from repro.auditing.events import Operation, SystemEvent
-from repro.auditing.reduction import CausalityPreservedReducer, reduce_trace
+from repro.auditing.reduction import IncrementalReducer
 from repro.auditing.trace import AuditTrace
 from repro.auditing.workload.attacks import (
     DataLeakageAttack,
@@ -14,6 +19,7 @@ from repro.auditing.workload.attacks import (
 from repro.auditing.workload.base import ScenarioBuilder
 from repro.auditing.workload.benign import NoisyFileServerWorkload
 from repro.auditing.workload.generator import HostSimulator
+from tests.oracles import reduce_trace as oracle_reduce
 
 
 def _event(event_id, subject, obj, operation, start, end=None, amount=1, object_type=EntityType.FILE):
@@ -29,6 +35,15 @@ def _event(event_id, subject, obj, operation, start, end=None, amount=1, object_
     )
 
 
+def reduce_trace(trace, merge_window_ns=10_000_000_000):
+    """One-batch reduction: the reduced trace (time-ordered) and its stats."""
+    reducer = IncrementalReducer(merge_window_ns)
+    events = reducer.ingest(trace.events) + reducer.flush()
+    events.sort(key=lambda e: (e.start_time, e.event_id))
+    reduced = AuditTrace(host=trace.host, entities=list(trace.entities), events=events)
+    return reduced, reducer.statistics()
+
+
 def _trace_with(events, malicious=()):
     entities = [
         ProcessEntity(entity_id=1, exename="/bin/p", pid=1),
@@ -40,7 +55,7 @@ def _trace_with(events, malicious=()):
     return trace
 
 
-class TestCausalityPreservedReducer:
+class TestReduction:
     def test_consecutive_same_edge_events_merge(self):
         events = [
             _event(1, 1, 2, Operation.READ, 100, amount=10),
@@ -92,21 +107,18 @@ class TestCausalityPreservedReducer:
             _event(1, 1, 2, Operation.READ, 0),
             _event(2, 1, 2, Operation.READ, 50_000_000_000),  # 50 s later
         ]
-        _, stats_small_window = CausalityPreservedReducer(merge_window_ns=1_000_000_000).reduce(
-            _trace_with(events)
-        )
-        _, stats_unbounded = CausalityPreservedReducer(merge_window_ns=None).reduce(
-            _trace_with(events)
-        )
+        _, stats_small_window = reduce_trace(_trace_with(events), 1_000_000_000)
+        _, stats_unbounded = reduce_trace(_trace_with(events), None)
         assert stats_small_window.events_after == 2
         assert stats_unbounded.events_after == 1
 
-    def test_malicious_label_survives_merge(self):
+    def test_oracle_carries_a_malicious_label_through_a_merge(self):
+        # Labels stay with the generators' traces; only the oracle carries them.
         events = [
             _event(1, 1, 2, Operation.READ, 100),
             _event(2, 1, 2, Operation.READ, 200),
         ]
-        reduced, _ = reduce_trace(_trace_with(events, malicious={2}))
+        reduced, _ = oracle_reduce(_trace_with(events, malicious={2}))
         assert len(reduced.events) == 1
         assert reduced.malicious_event_ids == {reduced.events[0].event_id}
 
@@ -164,7 +176,8 @@ class TestCausalityPreservedReducer:
 
 
 class TestIncrementalReducer:
-    """The streaming-mode reducer must match whole-trace reduction exactly."""
+    """Streamed in batches of any size, the one reducer equals the whole-trace
+    oracle exactly."""
 
     @staticmethod
     def _noisy_trace():
@@ -172,8 +185,9 @@ class TestIncrementalReducer:
         NoisyFileServerWorkload(sessions=3, operations_per_session=30).generate(builder)
         return builder.build()
 
-    def _stream(self, reducer, trace, batch_size):
-        incremental = reducer.incremental()
+    @staticmethod
+    def _stream(trace, batch_size, window):
+        incremental = IncrementalReducer(window)
         ordered = sorted(trace.events, key=lambda e: (e.start_time, e.event_id))
         emitted = []
         for start in range(0, len(ordered), batch_size):
@@ -181,23 +195,18 @@ class TestIncrementalReducer:
         emitted.extend(incremental.flush())
         return incremental, emitted
 
-    def test_matches_batch_reduction_for_any_batch_size(self):
+    def test_matches_the_oracle_for_any_batch_size(self):
         trace = self._noisy_trace()
         for window in (10_000_000_000, 2_000_000, None):
-            reducer = CausalityPreservedReducer(merge_window_ns=window)
-            reduced, _ = reducer.reduce(trace)
-            expected = {
-                (e.event_id, e.start_time, e.end_time, e.amount) for e in reduced.events
-            }
+            reduced, _ = oracle_reduce(trace, window)
             for batch_size in (1, 13, 10_000):
-                _, emitted = self._stream(reducer, trace, batch_size)
-                streamed = {(e.event_id, e.start_time, e.end_time, e.amount) for e in emitted}
-                assert streamed == expected, (window, batch_size)
+                _, emitted = self._stream(trace, batch_size, window)
+                emitted.sort(key=lambda e: (e.start_time, e.event_id))
+                assert emitted == reduced.events, (window, batch_size)
 
     def test_counters_and_pending(self):
         trace = self._noisy_trace()
-        reducer = CausalityPreservedReducer()
-        incremental = reducer.incremental()
+        incremental = IncrementalReducer()
         incremental.ingest(trace.events)
         assert incremental.events_seen == len(trace.events)
         assert incremental.pending_count > 0
@@ -206,3 +215,4 @@ class TestIncrementalReducer:
         incremental.flush()
         assert incremental.pending_count == 0
         assert incremental.events_emitted == stats.events_after
+        assert incremental.statistics() == oracle_reduce(trace)[1]

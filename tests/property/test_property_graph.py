@@ -190,7 +190,8 @@ class TestPlannerAgainstOracle:
     @given(_event_specs, _pattern_specs)
     def test_match_sets_identical(self, specs, shape):
         graph = GraphDatabase()
-        graph.load_trace(_build_trace(specs))
+        trace = _build_trace(specs)
+        graph.append_batch(trace.entities, trace.events)
         properties = (
             {"exename": shape["source_exename"]}
             if shape["source_exename"] is not None

@@ -107,12 +107,12 @@ class TestSegmentedMatchesInMemory:
     def test_identical_row_multisets(self, event_specs, optype, pattern, window, distinct):
         trace = _trace(event_specs)
         memory = RelationalDatabase()
-        memory.load_trace(trace)
+        memory.append_batch(trace.entities, trace.events)
         query = _query(optype, pattern, window, distinct)
         expected = memory.execute(query)
         with tempfile.TemporaryDirectory(prefix="segprop-") as workdir:
             segmented = SegmentedRelationalDatabase(Path(workdir), segment_rows=8)
-            segmented.load_trace(trace)
+            segmented.append_batch(trace.entities, trace.events)
             actual = segmented.execute(query)
             assert sorted(actual.rows) == sorted(expected.rows)
             assert actual.columns == expected.columns
@@ -128,7 +128,7 @@ class TestSegmentedMatchesInMemory:
         query = _query("read", "%", window, False)
         with tempfile.TemporaryDirectory(prefix="segprop-") as workdir:
             first = SegmentedRelationalDatabase(Path(workdir), segment_rows=8)
-            first.load_trace(trace)
+            first.append_batch(trace.entities, trace.events)
             first.seal()
             expected = first.execute(query)
             reopened = SegmentedRelationalDatabase(Path(workdir), segment_rows=8)

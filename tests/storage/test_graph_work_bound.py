@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.auditing.entities import FileEntity, ProcessEntity
 from repro.auditing.events import EntityType, Operation, SystemEvent
-from repro.auditing.trace import AuditTrace
 from repro.storage.graph.graphdb import GraphDatabase
 from repro.storage.graph.pattern import EdgePattern, NodePattern, PathPattern
 from repro.storage.graph.planner import CostGuidedPathMatcher
@@ -66,7 +65,7 @@ def _graph(processes: int, files: int = 20) -> GraphDatabase:
                             EntityType.FILE, base + 1 + offset, base + 1 + offset)
             )
     graph = GraphDatabase()
-    graph.load_trace(AuditTrace(entities=entities, events=events))
+    graph.append_batch(entities, events)
     return graph
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.auditing.entities import FileEntity, ProcessEntity
 from repro.auditing.events import EntityType, Operation, SystemEvent
-from repro.auditing.trace import AuditTrace
 from repro.errors import QueryError
 from repro.storage.graph.graphdb import GraphDatabase
 from repro.storage.graph.model import Edge, Node, Path
@@ -26,7 +25,7 @@ def graph() -> GraphDatabase:
         SystemEvent(2, 1, 4, Operation.WRITE, EntityType.FILE, 200, 210),
         SystemEvent(3, 2, 4, Operation.READ, EntityType.FILE, 300, 310),
     ]
-    graph.load_trace(AuditTrace(entities=entities, events=events))
+    graph.append_batch(entities, events)
     return graph
 
 

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.auditing.trace import AuditTrace
+from repro.auditing.workload.attacks import (
+    DataLeakageAttack,
+    Figure2DataLeakageChain,
+    PasswordCrackingAttack,
+)
 from repro.auditing.workload.base import ScenarioBuilder
 from repro.auditing.workload.benign import NoisyFileServerWorkload, WebServerWorkload
+from repro.auditing.workload.generator import HostSimulator
 from repro.errors import StorageError
+from repro.scenarios import generate_campaigns
 from repro.storage.loader import AuditStore
 from repro.tbql.executor import TBQLExecutionEngine
+from tests.oracles import reduce_trace as oracle_reduce
 
 
 def _bursty_trace():
@@ -211,3 +221,117 @@ class TestRepeatedEventIds:
         assert [event.event_id for event in store.flush().stored_events] == [
             trace.events[0].event_id
         ]
+
+
+def _web_server_trace() -> AuditTrace:
+    """13 entities (nginx is entity 1), 12 events."""
+    builder = ScenarioBuilder(seed=7)
+    WebServerWorkload(requests=3).generate(builder)
+    return builder.build()
+
+
+class TestUnknownEndpoints:
+    """Regression: an event whose subject or object no entity names stored
+    the relational rows before the graph refused the edge (12 events and 0
+    edges through ``load_trace``; 11 and 0 plus a pending id left in the
+    reducer through ``append_batch`` + ``flush``).  It is refused first."""
+
+    @staticmethod
+    def _without_nginx() -> AuditTrace:
+        trace = _web_server_trace()
+        entities = [entity for entity in trace.entities if entity.entity_id != 1]
+        return AuditTrace(host=trace.host, entities=entities, events=trace.events)
+
+    @pytest.mark.parametrize("apply_reduction", [True, False])
+    def test_load_trace_refuses_before_writing(self, apply_reduction):
+        store = AuditStore(apply_reduction=apply_reduction)
+        store.load_trace(_bursty_trace())
+        before = _state(store)
+        with pytest.raises(StorageError, match="unknown entity id 1\\b"):
+            store.load_trace(self._without_nginx())
+        assert _state(store) == before
+
+    @pytest.mark.parametrize("storage", ["memory", "segments"])
+    def test_append_batch_refuses_before_the_reducer(self, storage, tmp_path):
+        store = AuditStore(storage=storage, data_dir=tmp_path)
+        trace = self._without_nginx()
+        with pytest.raises(StorageError, match="unknown entity id 1\\b"):
+            store.append_batch(trace.entities, trace.events)
+        assert _state(store) == (0, 0, 0, 0, 0, 0)
+        assert store.flush().stored_events == []
+
+    def test_an_endpoint_stored_by_an_earlier_batch_is_known(self):
+        trace = _web_server_trace()
+        store = AuditStore(apply_reduction=False)
+        store.append_batch(trace.entities[:1], [])
+        report = store.append_batch(trace.entities[1:], trace.events)
+        assert report.appended_events == len(trace.events)
+        assert store.graph.edge_count() == len(trace.events)
+
+
+class TestRepeatedEntityIds:
+    """Regression: a repeated entity id in ``load_trace`` tore the store
+    (relational 14 entities and 12 events, graph 13 nodes and 0 edges, then
+    ``QueryError: duplicate node id 1``).  As in ``append_batch``, the first
+    record of an id wins in both backends."""
+
+    @pytest.mark.parametrize("storage", ["memory", "segments"])
+    def test_first_record_wins_and_the_events_are_stored(self, storage, tmp_path):
+        trace = _web_server_trace()
+        renamed = dataclasses.replace(trace.entities[0], exename="/usr/sbin/other")
+        repeated = AuditTrace(
+            host=trace.host, entities=trace.entities + [renamed], events=trace.events
+        )
+        store = AuditStore(apply_reduction=False, storage=storage, data_dir=tmp_path)
+        report = store.load_trace(repeated)
+        assert report.relational_rows == {"entities": 13, "events": 12}
+        assert report.graph_counts == {"nodes": 13, "edges": 12}
+        assert _state(store)[:4] == (12, 13, 12, 13)
+        [row] = store.relational.table("entities").lookup_equal("id", 1)
+        assert row["exename"] == trace.entities[0].exename
+        assert store.graph.node(1).properties["exename"] == trace.entities[0].exename
+
+
+def _campaign_trace() -> AuditTrace:
+    return generate_campaigns(count=1, base_seed=1200, noise_scale=0.5)[0].trace
+
+
+def _demo_host_trace() -> AuditTrace:
+    return (
+        HostSimulator(seed=101, benign_scale=0.5)
+        .add_default_benign()
+        .add_attack(PasswordCrackingAttack())
+        .add_attack(DataLeakageAttack())
+        .add_attack(Figure2DataLeakageChain())
+        .add_benign(NoisyFileServerWorkload(sessions=3, operations_per_session=30))
+        .run()
+        .trace
+    )
+
+
+class TestOneIngestPath:
+    """A whole-trace load is a stream with one batch: it stores exactly the
+    whole-trace oracle's reduced events, in ``(start_time, event_id)`` order,
+    so segment partitions and their pruning stats are what they always were."""
+
+    @pytest.mark.parametrize("storage", ["memory", "segments"])
+    @pytest.mark.parametrize("make_trace", [_demo_host_trace, _campaign_trace])
+    def test_load_stores_the_oracle_reduction_in_time_order(self, storage, make_trace, tmp_path):
+        trace = make_trace()
+        expected, stats = oracle_reduce(trace)
+        rows = [event.to_row() for event in expected.events]
+        store = AuditStore(storage=storage, data_dir=tmp_path, segment_rows=64)
+        report = store.load_trace(trace)
+
+        assert report.reduction == stats
+        assert report.relational_rows == {"entities": len(trace.entities), "events": len(rows)}
+        assert report.graph_counts == {"nodes": len(trace.entities), "edges": len(rows)}
+        if storage == "memory":
+            assert list(store.relational.table("events").scan()) == rows
+            return
+        assert list(store.relational.event_rows()) == rows
+        readers = store.relational.segment_readers
+        assert len(readers) == len(rows) // 64 >= 4
+        for index, reader in enumerate(readers):
+            starts = [row["starttime"] for row in rows[index * 64 : (index + 1) * 64]]
+            assert (reader.min_starttime, reader.max_starttime) == (min(starts), max(starts))

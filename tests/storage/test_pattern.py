@@ -6,7 +6,6 @@ import pytest
 
 from repro.auditing.entities import FileEntity, ProcessEntity
 from repro.auditing.events import EntityType, Operation, SystemEvent
-from repro.auditing.trace import AuditTrace
 from repro.storage.graph.cypher import render_path_pattern
 from repro.storage.graph.graphdb import GraphDatabase
 from repro.storage.graph.model import Edge, Node
@@ -39,7 +38,7 @@ def chain_graph() -> GraphDatabase:
         SystemEvent(3, 2, 4, Operation.READ, EntityType.FILE, 300, 310),
         SystemEvent(4, 2, 5, Operation.WRITE, EntityType.FILE, 400, 410),
     ]
-    graph.load_trace(AuditTrace(entities=entities, events=events))
+    graph.append_batch(entities, events)
     return graph
 
 
@@ -154,7 +153,7 @@ class TestVariableLengthMatching:
             SystemEvent(1, 1, 2, Operation.FORK, EntityType.PROCESS, 100, 110),
             SystemEvent(2, 2, 3, Operation.WRITE, EntityType.FILE, 200, 210),
         ]
-        graph.load_trace(AuditTrace(entities=entities, events=events))
+        graph.append_batch(entities, events)
         pattern = PathPattern(
             source=NodePattern(label="process", properties={"exename": "/bin/bash"}),
             target=NodePattern(label="file", properties={"name": "/tmp/upload.tar"}),
@@ -179,7 +178,7 @@ class TestVariableLengthMatching:
             SystemEvent(1, 1, 2, Operation.FORK, EntityType.PROCESS, 500, 510),
             SystemEvent(2, 2, 3, Operation.WRITE, EntityType.FILE, 200, 210),
         ]
-        graph.load_trace(AuditTrace(entities=entities, events=events))
+        graph.append_batch(entities, events)
         pattern = PathPattern(
             source=NodePattern(label="process", properties={"exename": "/bin/bash"}),
             target=NodePattern(label="file", properties={"name": "/tmp/upload.tar"}),

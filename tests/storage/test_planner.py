@@ -6,7 +6,6 @@ import pytest
 
 from repro.auditing.entities import FileEntity, ProcessEntity
 from repro.auditing.events import EntityType, Operation, SystemEvent
-from repro.auditing.trace import AuditTrace
 from repro.storage.graph.graphdb import GraphDatabase
 from repro.storage.graph.model import Edge, Node
 from repro.storage.graph.pattern import EdgePattern, NodePattern, PathPattern
@@ -53,7 +52,7 @@ def _chain_store(chains: int = 8, noise_files_per_helper: int = 10) -> GraphData
             )
         )
         event_id += 1
-    graph.load_trace(AuditTrace(entities=entities, events=events))
+    graph.append_batch(entities, events)
     return graph
 
 
@@ -144,7 +143,7 @@ class TestStrategySelection:
         events.append(
             SystemEvent(event_id, 12, 99, Operation.WRITE, EntityType.FILE, 10_000, 10_001)
         )
-        graph.load_trace(AuditTrace(entities=processes + [target_file], events=events))
+        graph.append_batch(processes + [target_file], events)
         pattern = PathPattern(
             # Selective source keeps the search forward; the mesh's branching
             # factor still makes the DFS estimate exceed one edge sweep, so the
@@ -221,7 +220,7 @@ class TestSelfLoopSemantics:
             SystemEvent(20 + i, 1, 10 + i, Operation.READ, EntityType.FILE, 200 + i, 201 + i)
             for i in range(5)
         ]
-        graph.load_trace(AuditTrace(entities=entities, events=events))
+        graph.append_batch(entities, events)
         return graph
 
     def _pattern(self, max_length: int, **overrides) -> PathPattern:
@@ -261,18 +260,16 @@ class TestSelfLoopSemantics:
 class TestTimeSortedIndexes:
     def test_adjacency_is_time_sorted_even_for_out_of_order_loads(self):
         graph = GraphDatabase()
-        graph.load_trace(
-            AuditTrace(
-                entities=[
-                    ProcessEntity(entity_id=1, exename="/bin/x", pid=1),
-                    FileEntity(entity_id=2, name="/tmp/a"),
-                ],
-                events=[
-                    SystemEvent(1, 1, 2, Operation.WRITE, EntityType.FILE, 300, 301),
-                    SystemEvent(2, 1, 2, Operation.WRITE, EntityType.FILE, 100, 101),
-                    SystemEvent(3, 1, 2, Operation.WRITE, EntityType.FILE, 200, 201),
-                ],
-            )
+        graph.append_batch(
+            [
+                ProcessEntity(entity_id=1, exename="/bin/x", pid=1),
+                FileEntity(entity_id=2, name="/tmp/a"),
+            ],
+            [
+                SystemEvent(1, 1, 2, Operation.WRITE, EntityType.FILE, 300, 301),
+                SystemEvent(2, 1, 2, Operation.WRITE, EntityType.FILE, 100, 101),
+                SystemEvent(3, 1, 2, Operation.WRITE, EntityType.FILE, 200, 201),
+            ],
         )
         starts = [edge.start_time for edge in graph.outgoing_edges(1)]
         assert starts == sorted(starts)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.auditing.entities import FileEntity, ProcessEntity
 from repro.auditing.events import EntityType, Operation, SystemEvent
-from repro.auditing.trace import AuditTrace
 from repro.errors import QueryError
 from repro.storage.relational.database import RelationalDatabase
 from repro.storage.relational.expression import Between, Column, Comparison, Like, Literal
@@ -32,8 +31,7 @@ def database() -> RelationalDatabase:
         SystemEvent(2, 1, 4, Operation.WRITE, EntityType.FILE, 200, 210, 10),
         SystemEvent(3, 2, 4, Operation.READ, EntityType.FILE, 300, 310, 10),
     ]
-    trace = AuditTrace(entities=entities, events=events)
-    database.load_trace(trace)
+    database.append_batch(entities, events)
     return database
 
 

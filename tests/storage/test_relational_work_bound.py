@@ -75,8 +75,7 @@ def _windowed_store(noise_copies: int) -> RelationalDatabase:
                             _FILE_OPERATIONS[index % 6], EntityType.FILE, start, start)
             )
     database = RelationalDatabase()
-    database.load_entities(entities)
-    database.load_events(events)
+    database.append_batch(entities, events)
     return database
 
 

@@ -63,6 +63,10 @@ def _trace(events: int = 40) -> AuditTrace:
     return AuditTrace(entities=entities, events=rows)
 
 
+def _append(database: RelationalDatabase | SegmentedRelationalDatabase, trace: AuditTrace) -> None:
+    database.append_batch(trace.entities, trace.events)
+
+
 def _join_query() -> SelectQuery:
     query = SelectQuery()
     query.add_table("events", "e")
@@ -120,7 +124,7 @@ class TestColumnCodecs:
 class TestManifestCorruption:
     def test_corrupt_manifest_is_a_segment_error(self, tmp_path):
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=8)
-        database.load_trace(_trace())
+        _append(database, _trace())
         database.seal()
         (tmp_path / MANIFEST_NAME).write_text("{ not json", encoding="utf-8")
         with pytest.raises(SegmentError):
@@ -128,7 +132,7 @@ class TestManifestCorruption:
 
     def test_manifest_version_mismatch_rejected(self, tmp_path):
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=8)
-        database.load_trace(_trace())
+        _append(database, _trace())
         database.seal()
         manifest_path = tmp_path / MANIFEST_NAME
         payload = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -141,7 +145,7 @@ class TestManifestCorruption:
         """Regression: an edited ``min/max_starttime`` is still valid JSON, and
         trusting it silently pruned a live segment (28 of 32 rows returned)."""
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=8)
-        database.load_trace(_trace(events=64))
+        _append(database, _trace(events=64))
         database.seal()
         assert len(database.execute(_windowed_join_query()).rows) == 32
         manifest_path = tmp_path / MANIFEST_NAME
@@ -154,7 +158,7 @@ class TestManifestCorruption:
 
     def test_manifest_referencing_missing_segment_rejected(self, tmp_path):
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=8)
-        database.load_trace(_trace())
+        _append(database, _trace())
         database.seal()
         victim = tmp_path / database.segment_readers[0].name
         for child in victim.iterdir():
@@ -165,7 +169,7 @@ class TestManifestCorruption:
 
     def test_torn_column_in_live_segment_surfaces_on_read(self, tmp_path):
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=8)
-        database.load_trace(_trace())
+        _append(database, _trace())
         database.seal()
         segment_dir = tmp_path / database.segment_readers[0].name
         column = segment_dir / "events.starttime.col"
@@ -178,7 +182,7 @@ class TestManifestCorruption:
 class TestSealedSegmentImmutability:
     def test_appends_never_touch_sealed_files(self, tmp_path):
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=16)
-        database.load_trace(_trace(events=40))
+        _append(database, _trace(events=40))
         assert database.sealed_segments, "seal threshold should have been crossed"
         snapshot = {
             path: path.read_bytes()
@@ -194,7 +198,7 @@ class TestSealedSegmentImmutability:
 
     def test_each_seal_persists_only_entities_added_since_the_last(self, tmp_path):
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=1_000)
-        database.load_trace(_trace(events=10))
+        _append(database, _trace(events=10))
         database.seal()
         assert database.seal() is None  # nothing unsealed
         database.append_batch([FileEntity(entity_id=5, name="/tmp/late")], [])
@@ -207,9 +211,9 @@ class TestSealedSegmentImmutability:
     def test_results_match_in_memory_store(self, tmp_path):
         trace = _trace(events=60)
         memory = RelationalDatabase()
-        memory.load_trace(trace)
+        _append(memory, trace)
         segmented = SegmentedRelationalDatabase(tmp_path, segment_rows=16)
-        segmented.load_trace(trace)
+        _append(segmented, trace)
         expected = memory.execute(_join_query())
         actual = segmented.execute(_join_query())
         assert sorted(actual.rows) == sorted(expected.rows)
@@ -219,7 +223,7 @@ class TestSealedSegmentImmutability:
         of ~32 sealed segments, and answers like the in-memory store."""
         trace = _trace(events=20_000)
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=len(trace.events) // 32)
-        database.load_trace(trace)
+        _append(database, trace)
         database.seal()
         assert database.sealed_segments >= 30
         low, high = trace.events[0].start_time, trace.events[-1].start_time
@@ -236,7 +240,7 @@ class TestSealedSegmentImmutability:
         assert stats["pruned"] + stats["scanned"] == database.sealed_segments
         assert stats["pruned"] >= database.sealed_segments / 2
         memory = RelationalDatabase()
-        memory.load_trace(trace)
+        _append(memory, trace)
         assert actual.rows and sorted(actual.rows) == sorted(memory.execute(query).rows)
 
 
@@ -272,7 +276,7 @@ class TestRestartSurvival:
 
     def test_orphan_staging_dir_from_crashed_seal_is_cleaned(self, tmp_path):
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=8)
-        database.load_trace(_trace())
+        _append(database, _trace())
         database.seal()
         # A crash between publishing column files and publishing the manifest
         # leaves a fully-written directory the manifest never references...

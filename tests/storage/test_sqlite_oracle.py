@@ -61,7 +61,8 @@ def sqlite_db() -> SqliteRelationalDatabase:
 @pytest.fixture
 def memory_db() -> RelationalDatabase:
     database = RelationalDatabase()
-    database.load_trace(_trace())
+    trace = _trace()
+    database.append_batch(trace.entities, trace.events)
     return database
 
 

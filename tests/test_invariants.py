@@ -179,6 +179,27 @@ class TestPerRowCompileCheck:
         assert violations == []
 
 
+class TestOneIngestPathCheck:
+    def test_flags_a_loader_on_a_backend(self, invariants):
+        [violation] = _check(
+            invariants,
+            "check_one_ingest_path",
+            "class GraphDatabase:\n    def append_batch(self, entities, events):\n        pass\n"
+            "    def load_trace(self, trace):\n        pass\n",
+        )
+        assert "GraphDatabase.load_trace() is a second ingest path" in violation.message
+
+    def test_allows_the_audit_store_loader(self, invariants):
+        violations = _check(
+            invariants,
+            "check_one_ingest_path",
+            "class AuditStore:\n    def load_trace(self, trace):\n        pass\n"
+            "class RelationalDatabase:\n    def append_batch(self, entities, events):\n"
+            "        pass\n",
+        )
+        assert violations == []
+
+
 class TestImportBoundaryCheck:
     @pytest.mark.parametrize(
         "source",
