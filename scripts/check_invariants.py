@@ -33,6 +33,12 @@ know about:
   ``load_trace``, ``load_entities`` or ``load_events``: a backend takes rows
   through ``append_batch`` only, and a whole-trace load is a stream with one
   batch.
+* **One write step in ``src/``** — no ``Table.insert`` or
+  ``Table.insert_many`` call outside ``storage/relational/table.py``: rows
+  enter a table through ``Table.append_columns``, which validates each column
+  once and extends each array and index once per batch.  ``insert_many(...)``
+  is flagged with any arguments, ``insert(...)`` with exactly one (a row);
+  ``list.insert(i, x)`` and the indexes' ``insert(value, position)`` take two.
 
 Exit status: 0 when clean, 1 with one ``file:line: message`` per violation
 otherwise.  Run as ``python scripts/check_invariants.py`` from the repo root.
@@ -93,6 +99,9 @@ _PER_ROW_METHODS = {"evaluate", "matches"}
 #: Whole-trace loaders only ``AuditStore`` may define under ``storage/``.
 _LOAD_METHODS = {"load_trace", "load_entities", "load_events"}
 _LOADING_CLASS = "AuditStore"
+
+#: The one module that may call ``Table.insert`` / ``Table.insert_many``.
+_WRITE_STEP_MODULE = "storage/relational/table.py"
 
 
 def _dotted(node: ast.AST) -> tuple[str, ...]:
@@ -298,6 +307,27 @@ def check_one_ingest_path(path: Path, tree: ast.Module) -> list[Violation]:
     return violations
 
 
+def check_one_write_path(path: Path, tree: ast.Module) -> list[Violation]:
+    """No row-at-a-time ``Table`` write: a ``.insert_many(...)`` call, or an
+    ``.insert(row)`` call with one argument."""
+    violations: list[Violation] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        method = node.func.attr
+        arguments = len(node.args) + len(node.keywords)
+        if method == "insert_many" or (method == "insert" and arguments == 1):
+            violations.append(
+                Violation(
+                    path,
+                    node.lineno,
+                    f".{method}() writes a table row by row; hand the batch's columns "
+                    "to Table.append_columns",
+                )
+            )
+    return violations
+
+
 def run() -> int:
     violations: list[Violation] = []
     for path in sorted(SRC_ROOT.rglob("*.py")):
@@ -308,6 +338,8 @@ def run() -> int:
         if relative.startswith("storage/"):
             violations.extend(check_no_per_row_compile(path, tree))
             violations.extend(check_one_ingest_path(path, tree))
+        if relative != _WRITE_STEP_MODULE:
+            violations.extend(check_one_write_path(path, tree))
         violations.extend(check_fsync_before_replace(path, tree))
         violations.extend(check_mutable_defaults(path, tree))
         violations.extend(check_import_boundaries(path, tree, relative))

@@ -109,9 +109,24 @@ OPERATIONS_BY_EVENT_TYPE: dict[EventType, frozenset[Operation]] = {
 }
 
 
+#: Canonical member by value, so the per-event paths look a value up in a
+#: dict instead of calling the ``Enum`` constructor.
+_OPERATIONS: dict[str, Operation] = {member.value: member for member in Operation}
+_EVENT_TYPES: dict[str, EventType] = {member.value: member for member in EventType}
+_ENTITY_TYPES: dict[str, EntityType] = {member.value: member for member in EntityType}
+
+
+def _member(members: dict[str, Any], value: Any, kind: str) -> Any:
+    """``members[value]``, or the ``ValueError`` the ``Enum`` constructor raises."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        raise ValueError(f"{value!r} is not a valid {kind}") from None
+
+
 def event_type_for_object(object_type: EntityType) -> EventType:
     """Map an object entity type to the event category it produces."""
-    return EventType(object_type.value)
+    return _EVENT_TYPES[object_type._value_]
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +165,7 @@ class SystemEvent:
     @property
     def event_type(self) -> EventType:
         """Event category (file/process/network) from the object type."""
-        return event_type_for_object(self.object_type)
+        return _EVENT_TYPES[self.object_type._value_]
 
     def occurs_before(self, other: "SystemEvent") -> bool:
         """True when this event finishes before ``other`` starts."""
@@ -191,8 +206,12 @@ def event_from_row(row: Mapping[str, Any]) -> SystemEvent:
         event_id=int(row["id"]),
         subject_id=int(row["srcid"]),
         object_id=int(row["dstid"]),
-        operation=Operation(row["optype"]),
-        object_type=EntityType(row.get("objecttype", row.get("eventtype", "file"))),
+        operation=_member(_OPERATIONS, row["optype"], "Operation"),
+        object_type=_member(
+            _ENTITY_TYPES,
+            row.get("objecttype", row.get("eventtype", "file")),
+            "EntityType",
+        ),
         start_time=int(row["starttime"]),
         end_time=int(row["endtime"]),
         amount=int(row.get("amount", 0) or 0),

@@ -179,6 +179,14 @@ class GraphDatabase:
         """Add one batch of entities as nodes and events as edges; returns
         node/edge counts.
 
+        The graph ends as :meth:`add_edge` one edge at a time leaves it, in
+        one pass over ``events`` (consumed as a stream): each edge goes into
+        its four time-sorted indexes (outgoing and incoming adjacency, the
+        per-relationship and the global time index) by a tail append when it
+        starts no earlier than the index's last edge, else by
+        ``_TimeSortedEdges.add``.  A refused edge leaves those before it
+        stored.
+
         Raises:
             QueryError: on a node or edge id already stored, or an edge whose
                 endpoint is unknown.  :class:`~repro.storage.loader.AuditStore`
@@ -194,23 +202,67 @@ class GraphDatabase:
                 )
             )
             nodes += 1
+        stored, known = self._edges, self._nodes
+        outgoing, incoming = self._outgoing, self._incoming
+        by_time, by_relationship = self._edges_by_time, self._edges_by_time_by_relationship
         edges = 0
         for event in events:
-            self.add_edge(
-                Edge(
-                    edge_id=event.event_id,
-                    source_id=event.subject_id,
-                    target_id=event.object_id,
-                    relationship=event.operation.value,
-                    properties={
-                        "starttime": event.start_time,
-                        "endtime": event.end_time,
-                        "amount": event.amount,
-                        "eventtype": event.event_type.value,
-                        "host": event.host,
-                    },
-                )
+            edge_id, source, target = event.event_id, event.subject_id, event.object_id
+            if edge_id in stored:
+                raise QueryError(f"duplicate edge id {edge_id}")
+            if source not in known:
+                raise QueryError(f"edge {edge_id}: unknown source node {source}")
+            if target not in known:
+                raise QueryError(f"edge {edge_id}: unknown target node {target}")
+            relationship, start = event.operation._value_, event.start_time
+            stored[edge_id] = Edge(
+                edge_id,
+                source,
+                target,
+                relationship,
+                {
+                    "starttime": start,
+                    "endtime": event.end_time,
+                    "amount": event.amount,
+                    "eventtype": event.object_type._value_,
+                    "host": event.host,
+                },
             )
+            by_type = outgoing.get(source)
+            if by_type is None:
+                by_type = outgoing[source] = {}
+            index = by_type.get(relationship)
+            if index is None:
+                index = by_type[relationship] = _TimeSortedEdges()
+            if not index.starts or start >= index.starts[-1]:
+                index.starts.append(start)
+                index.edge_ids.append(edge_id)
+            else:
+                index.add(start, edge_id)
+            by_type = incoming.get(target)
+            if by_type is None:
+                by_type = incoming[target] = {}
+            index = by_type.get(relationship)
+            if index is None:
+                index = by_type[relationship] = _TimeSortedEdges()
+            if not index.starts or start >= index.starts[-1]:
+                index.starts.append(start)
+                index.edge_ids.append(edge_id)
+            else:
+                index.add(start, edge_id)
+            index = by_relationship.get(relationship)
+            if index is None:
+                index = by_relationship[relationship] = _TimeSortedEdges()
+            if not index.starts or start >= index.starts[-1]:
+                index.starts.append(start)
+                index.edge_ids.append(edge_id)
+            else:
+                index.add(start, edge_id)
+            if not by_time.starts or start >= by_time.starts[-1]:
+                by_time.starts.append(start)
+                by_time.edge_ids.append(edge_id)
+            else:
+                by_time.add(start, edge_id)
             edges += 1
         return {"nodes": nodes, "edges": edges}
 

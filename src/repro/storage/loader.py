@@ -33,7 +33,7 @@ from repro.auditing.reduction import IncrementalReducer, ReductionStats
 from repro.auditing.trace import AuditTrace
 from repro.errors import StorageError
 from repro.storage.graph.graphdb import GraphDatabase
-from repro.storage.relational.database import RelationalDatabase
+from repro.storage.relational.database import RelationalDatabase, validate_batch
 from repro.storage.segment.database import DEFAULT_SEGMENT_ROWS, SegmentedRelationalDatabase
 
 
@@ -183,8 +183,10 @@ class AuditStore:
         Raises:
             StorageError: if an event id repeats within the batch, or names an
                 event already stored or still pending in the reducer; or if an
-                event's subject or object is neither stored nor in the batch.
-                Nothing is written and :attr:`generation` does not advance.
+                event's subject or object is neither stored nor in the batch;
+                or (:class:`~repro.errors.SchemaError`) if a value does not fit
+                the audit schema.  Nothing is written, the reducer is not
+                touched and :attr:`generation` does not advance.
         """
         new_entities, event_list = self._admit(entities, events, replacing=False)
         report = AppendReport(events_ingested=len(event_list))
@@ -210,7 +212,10 @@ class AuditStore:
         self, entities: Iterable[SystemEntity], events: Iterable[SystemEvent], replacing: bool
     ) -> tuple[list[SystemEntity], list[SystemEvent]]:
         """The batch's entities not yet stored (first record per id) and its
-        events, or :class:`StorageError` before anything is written.
+        events, or :class:`StorageError` before anything is written.  A
+        value the audit schema refuses (say a float ``amount``) is a
+        :class:`~repro.errors.SchemaError`, raised here rather than by a
+        backend halfway through the write.
 
         ``replacing`` checks the batch against an empty store, as
         :meth:`load_trace` sees it after :meth:`reset`.  An audit event id
@@ -241,6 +246,7 @@ class AuditStore:
                 if entity_id not in first and not stored_node(entity_id):
                     raise StorageError(f"audit event {event_id}: unknown entity id {entity_id}")
         new_entities = [entity for entity_id, entity in first.items() if not stored_node(entity_id)]
+        validate_batch(new_entities, event_list)
         return new_entities, event_list
 
     def _store(

@@ -10,7 +10,7 @@ speed up the search".  It takes rows in batches
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.auditing.entities import SystemEntity
 from repro.auditing.events import SystemEvent
@@ -73,6 +73,44 @@ DEFAULT_SORTED_INDEXES: dict[str, tuple[str, ...]] = {
 AUDIT_SCHEMAS: dict[str, TableSchema] = {"entities": ENTITY_SCHEMA, "events": EVENT_SCHEMA}
 
 
+def event_columns(events: Sequence[SystemEvent]) -> dict[str, list[Any]]:
+    """The ``events`` rows of ``events``, column-wise, read straight from the
+    event attributes (no row dict per event).  The ``eventtype`` is the
+    object's entity type by value (see
+    :func:`~repro.auditing.events.event_type_for_object`)."""
+    return {
+        "id": [event.event_id for event in events],
+        "srcid": [event.subject_id for event in events],
+        "dstid": [event.object_id for event in events],
+        "optype": [event.operation._value_ for event in events],
+        "eventtype": [event.object_type._value_ for event in events],
+        "starttime": [event.start_time for event in events],
+        "endtime": [event.end_time for event in events],
+        "amount": [event.amount for event in events],
+        "host": [event.host for event in events],
+    }
+
+
+def entity_columns(entities: Sequence[SystemEntity]) -> dict[str, list[Any]]:
+    """The ``entities`` rows of ``entities``, column-wise: ``id`` and
+    ``type``, then each entity attribute of the column's name (``None`` where
+    the entity's type has no such attribute, as in its ``to_row``)."""
+    columns = {
+        "id": [entity.entity_id for entity in entities],
+        "type": [entity.entity_type._value_ for entity in entities],
+    }
+    for name in ENTITY_SCHEMA.column_names()[2:]:
+        columns[name] = [getattr(entity, name, None) for entity in entities]
+    return columns
+
+
+def validate_batch(entities: Sequence[SystemEntity], events: Sequence[SystemEvent]) -> None:
+    """Raise the :class:`~repro.errors.SchemaError` that storing this batch
+    would raise, without writing anything."""
+    ENTITY_SCHEMA.validate_columns(entity_columns(entities), len(entities))
+    EVENT_SCHEMA.validate_columns(event_columns(events), len(events))
+
+
 def audit_table(name: str) -> Table:
     """An empty audit table ``name`` carrying its default hash and sorted indexes.
 
@@ -111,7 +149,7 @@ class RelationalDatabase:
 
     def has_entity(self, entity_id: int) -> bool:
         """True when an entity row with ``entity_id`` is already stored."""
-        return next(self._tables["entities"].lookup_equal("id", entity_id), None) is not None
+        return bool(self._tables["entities"].positions_equal("id", entity_id))
 
     def append_batch(
         self, entities: Iterable[SystemEntity], events: Iterable[SystemEvent]
@@ -120,10 +158,16 @@ class RelationalDatabase:
 
         Rows are inserted as given: :class:`~repro.storage.loader.AuditStore`
         drops entities already stored and refuses repeated event ids first.
+        Each table takes the batch in one columnar step, all or nothing.
         """
+        entity_list, event_list = list(entities), list(events)
         return {
-            "entities": self._tables["entities"].insert_many(e.to_row() for e in entities),
-            "events": self._tables["events"].insert_many(e.to_row() for e in events),
+            "entities": self._tables["entities"].append_columns(
+                entity_columns(entity_list), len(entity_list)
+            ),
+            "events": self._tables["events"].append_columns(
+                event_columns(event_list), len(event_list)
+            ),
         }
 
     # -- querying ----------------------------------------------------------

@@ -16,7 +16,6 @@ copies, so they stay cheap to maintain.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import defaultdict
 from typing import Any, Iterable, Iterator, Sequence
 
 #: Shared empty bucket handed out by :meth:`HashIndex.bucket` for misses.
@@ -24,17 +23,42 @@ _EMPTY: tuple[int, ...] = ()
 
 
 class HashIndex:
-    """Exact-match index: value → list of row positions."""
+    """Exact-match index: value → row positions, in insertion order.
+
+    A value held by one row maps to a 1-tuple, turned into a list when a
+    second row arrives.  Most keys of an id column stay single: a tuple is
+    smaller than a list and, holding only an int, leaves the garbage
+    collector's tracking, so a bulk load does not pay a collection pass per
+    key over and over.
+    """
 
     def __init__(self, column: str) -> None:
         self.column = column
-        self._buckets: dict[Any, list[int]] = defaultdict(list)
+        self._buckets: dict[Any, tuple[int] | list[int]] = {}
         self._size = 0
 
     def insert(self, value: Any, position: int) -> None:
         """Register that ``position`` holds ``value`` in the indexed column."""
-        self._buckets[value].append(position)
-        self._size += 1
+        self.extend((value,), (position,))
+
+    def extend(self, values: Iterable[Any], positions: Iterable[int]) -> None:
+        """Register a batch: the ``i``-th position holds the ``i``-th value.
+
+        The position ints are stored as given, so indexes fed the same
+        position list share its ints.
+        """
+        buckets = self._buckets
+        size = 0
+        for value, position in zip(values, positions):
+            bucket = buckets.get(value)
+            if bucket is None:
+                buckets[value] = (position,)
+            elif type(bucket) is tuple:
+                buckets[value] = [*bucket, position]
+            else:
+                bucket.append(position)
+            size += 1
+        self._size += size
 
     def lookup(self, value: Any) -> list[int]:
         """Row positions whose indexed column equals ``value``.
@@ -89,6 +113,25 @@ class SortedIndex:
         if value is None:
             return
         insort(self._entries, (value, position))
+
+    def extend(self, values: Sequence[Any], positions: Iterable[int]) -> None:
+        """Insert a batch of (value, position) pairs, skipping ``None`` values.
+
+        The batch is sorted once.  When it starts at or after the current
+        tail (audit data arrives nearly in time order) it is appended;
+        otherwise the two sorted runs are merged by one sort.
+        """
+        batch: Iterable[tuple[Any, int]] = zip(values, positions)
+        if None in values:
+            batch = (pair for pair in batch if pair[0] is not None)
+        pairs = sorted(batch)
+        if not pairs:
+            return
+        entries = self._entries
+        in_order = not entries or pairs[0] >= entries[-1]
+        entries.extend(pairs)
+        if not in_order:
+            entries.sort()
 
     def _span(self, low: Any, high: Any) -> tuple[int, int]:
         """``[start, stop)`` of the entries whose value lies in ``[low, high]``.

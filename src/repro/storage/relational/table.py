@@ -8,6 +8,10 @@ and pushed-down predicates are evaluated vectorized over those positions by
 :mod:`repro.storage.relational.vectorized` instead of per-row
 ``Expression.evaluate`` calls.
 
+Rows enter a table in batches, column-wise (:meth:`Table.append_columns`):
+each column is validated once per batch, and each column array and index is
+extended once.
+
 The historical dict-row API (``scan`` / ``lookup_*`` yielding dicts,
 ``row_at``) is kept as a thin materializing layer on top of the positional
 primitives, so existing callers and tests are untouched.
@@ -24,6 +28,8 @@ from repro.storage.relational.index import HashIndex, SortedIndex
 from repro.storage.relational.vectorized import filter_positions
 
 Row = dict[str, Any]
+
+_NONE_TYPE = type(None)
 
 
 @dataclass(frozen=True)
@@ -52,39 +58,73 @@ class TableSchema:
         return tuple(column.name for column in self.columns)
 
     def validate_row(self, row: Mapping[str, Any]) -> Row:
-        """Validate and normalise a row against the schema.
+        """Validate and normalise one row against the schema.
 
-        Unknown columns raise; missing nullable columns become ``None``.
+        Unknown columns raise; missing nullable columns become ``None``.  The
+        rules are :meth:`validate_columns`'s, applied to a batch of one.
 
         Raises:
             SchemaError: on unknown columns, missing non-nullable columns, or
                 type mismatches.
         """
-        known = {column.name: column for column in self.columns}
-        unknown = set(row) - set(known)
+        self.validate_columns({name: [value] for name, value in row.items()}, 1)
+        return {name: row.get(name) for name in self.column_names()}
+
+    def validate_columns(self, columns: Mapping[str, Sequence[Any]], count: int) -> None:
+        """Check a batch of ``count`` rows given column-wise, writing nothing.
+
+        A column absent from ``columns`` is ``None`` in every row, and
+        ``None`` in a non-nullable column is a missing value.  Each column's
+        distinct value types are checked once with ``issubclass`` (so an
+        ``int`` column accepts ``bool``, as ``isinstance`` does).
+
+        Raises:
+            SchemaError: on unknown columns, a column whose length is not
+                ``count``, missing non-nullable values, or type mismatches.
+        """
+        unknown = set(columns) - set(self.column_names())
         if unknown:
             raise SchemaError(
                 f"table {self.name!r}: unknown column(s) {sorted(unknown)}"
             )
-        normalised: Row = {}
         for column in self.columns:
-            if column.name in row:
-                value = row[column.name]
-            elif column.nullable:
-                value = None
+            values = columns.get(column.name, ())
+            if column.name not in columns:
+                types = {_NONE_TYPE} if count else set()
+            elif len(values) != count:
+                raise SchemaError(
+                    f"table {self.name!r}: column {column.name!r} holds "
+                    f"{len(values)} values for {count} rows"
+                )
             else:
-                raise SchemaError(
-                    f"table {self.name!r}: missing value for column {column.name!r}"
-                )
-            if value is not None and column.dtype is not None and not isinstance(value, column.dtype):
-                # bool is an int subclass; allow int columns to accept bools but
-                # reject e.g. str-in-int.
-                raise SchemaError(
-                    f"table {self.name!r}: column {column.name!r} expects "
-                    f"{column.dtype.__name__}, got {type(value).__name__}"
-                )
-            normalised[column.name] = value
-        return normalised
+                types = set(map(type, values))
+            if _NONE_TYPE in types:
+                if not column.nullable:
+                    raise SchemaError(
+                        f"table {self.name!r}: missing value for column {column.name!r}"
+                    )
+                types.discard(_NONE_TYPE)
+            dtype = column.dtype
+            if dtype is None or all(issubclass(kind, dtype) for kind in types):
+                continue
+            wrong = next(
+                value for value in values if value is not None and not isinstance(value, dtype)
+            )
+            raise SchemaError(
+                f"table {self.name!r}: column {column.name!r} expects "
+                f"{dtype.__name__}, got {type(wrong).__name__}"
+            )
+
+
+def _columns_from_rows(rows: Iterable[Mapping[str, Any]]) -> tuple[dict[str, list[Any]], int]:
+    """Turn dict rows into ``(columns, count)`` for :meth:`Table.append_columns`.
+
+    Every key any row has becomes a column; a row without that key holds
+    ``None`` there (so an unknown key still reaches schema validation).
+    """
+    rows = list(rows)
+    keys = dict.fromkeys(key for row in rows for key in row)
+    return {key: [row.get(key) for row in rows] for key in keys}, len(rows)
 
 
 class Table:
@@ -117,8 +157,7 @@ class Table:
         if column in self._hash_indexes:
             return
         index = HashIndex(column)
-        for position, value in enumerate(self._columns[column]):
-            index.insert(value, position)
+        index.extend(self._columns[column], range(self._row_count))
         self._hash_indexes[column] = index
 
     def create_sorted_index(self, column: str) -> None:
@@ -127,8 +166,7 @@ class Table:
         if column in self._sorted_indexes:
             return
         index = SortedIndex(column)
-        for position, value in enumerate(self._columns[column]):
-            index.insert(value, position)
+        index.extend(self._columns[column], range(self._row_count))
         self._sorted_indexes[column] = index
 
     def hash_indexed_columns(self) -> set[str]:
@@ -143,26 +181,43 @@ class Table:
 
     # -- mutation ------------------------------------------------------------
 
+    def append_columns(self, columns: Mapping[str, Sequence[Any]], count: int) -> int:
+        """Append ``count`` rows given column-wise; returns ``count``.
+
+        The one way rows enter a table.  Every column is validated
+        (:meth:`TableSchema.validate_columns`) before anything is written, so
+        a refused batch leaves the rows and every index as they were.  Then
+        each column array is extended once and each index takes the batch
+        in one step.  All indexes share one list of position ints: seven
+        indexes on a column store would otherwise hold seven ints per row.
+        """
+        self.schema.validate_columns(columns, count)
+        if not count:
+            return 0
+        batch = {
+            name: columns[name] if name in columns else [None] * count
+            for name in self._column_names
+        }
+        start = self._row_count
+        for name, values in batch.items():
+            self._columns[name].extend(values)
+        self._row_count = start + count
+        positions = list(range(start, start + count))
+        for column, hash_index in self._hash_indexes.items():
+            hash_index.extend(batch[column], positions)
+        for column, sorted_index in self._sorted_indexes.items():
+            sorted_index.extend(batch[column], positions)
+        return count
+
     def insert(self, row: Mapping[str, Any]) -> int:
         """Insert one row; returns its position."""
-        normalised = self.schema.validate_row(row)
         position = self._row_count
-        for name in self._column_names:
-            self._columns[name].append(normalised[name])
-        self._row_count = position + 1
-        for column, hash_index in self._hash_indexes.items():
-            hash_index.insert(normalised[column], position)
-        for column, sorted_index in self._sorted_indexes.items():
-            sorted_index.insert(normalised[column], position)
+        self.append_columns(*_columns_from_rows([row]))
         return position
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
-        """Insert many rows; returns the number inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Insert many rows, all or none; returns the number inserted."""
+        return self.append_columns(*_columns_from_rows(rows))
 
     # -- positional access (columnar hot path) --------------------------------
 

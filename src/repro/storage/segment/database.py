@@ -113,14 +113,22 @@ class SegmentedRelationalDatabase:
                 self._next_segment = max(self._next_segment, index + 1)
         # Entities are memory-resident: rebuild the table from every sealed
         # segment's entity rows (eager and cheap — entity cardinality is tiny
-        # next to event volume).
+        # next to event volume).  An id already stored, or repeated within a
+        # segment, keeps its first row.
         entities = self._memtable.table("entities")
         for reader in self._segments:
-            entities.insert_many(
-                row
-                for row in reader.table("entities").scan()
-                if not self._memtable.has_entity(row["id"])
-            )
+            sealed = reader.table("entities")
+            first: dict[int, int] = {}
+            for position, entity_id in enumerate(sealed.column_array("id") or ()):
+                if entity_id not in first and not self._memtable.has_entity(entity_id):
+                    first[entity_id] = position
+            columns = sealed.column_store()
+            if len(first) < len(sealed):
+                columns = {
+                    name: [values[position] for position in first.values()]
+                    for name, values in columns.items()
+                }
+            entities.append_columns(columns, len(first))
         self._sealed_entities = len(entities)
 
     def clear(self) -> None:
@@ -219,9 +227,15 @@ class SegmentedRelationalDatabase:
         """Every stored event row, partition by partition: sealed segments
         oldest first, then the memtable.  Nothing is copied beyond the
         segments' own (cached) materialized tables."""
+        for partition in self._event_partitions():
+            yield from partition.scan()
+
+    def _event_partitions(self) -> Iterator[Table]:
+        """The events tables of the sealed segments, oldest first, then the
+        memtable's."""
         for reader in self._segments:
-            yield from reader.table("events").scan()
-        yield from self._memtable.table("events").scan()
+            yield reader.table("events")
+        yield self._memtable.table("events")
 
     def execute(self, query: SelectQuery) -> QueryResult:
         """Execute a select-project-join query across memtable and segments."""
@@ -303,7 +317,8 @@ class SegmentedRelationalDatabase:
         """Lazily materialize every event row into one indexed table."""
         if self._combined is None:
             combined = audit_table("events")
-            combined.insert_many(self.event_rows())
+            for partition in self._event_partitions():
+                combined.append_columns(partition.column_store(), len(partition))
             tables = {"entities": self._memtable.table("entities"), "events": combined}
             self._combined = (tables, QueryExecutor(tables))
         return self._combined

@@ -165,10 +165,7 @@ class SegmentReader:
                 )
             columns[definition.name] = ColumnReader(path, expected_rows=expected).values()
         table = audit_table(table_name)
-        names = schema.column_names()
-        table.insert_many(
-            {name: columns[name][position] for name in names} for position in range(expected)
-        )
+        table.append_columns(columns, expected)
         self._tables[table_name] = table
         return table
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.auditing.entities import EntityType, FileEntity, NetworkEntity, ProcessEntity
@@ -83,6 +85,26 @@ class TestSystemEvent:
         row = event.to_row()
         row["objecttype"] = event.object_type.value
         assert event_from_row(row) == event
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("optype", "readv", "Operation"),  # an alias, not a stored value
+            ("optype", "teleport", "Operation"),
+            ("eventtype", "socket", "EntityType"),
+            ("objecttype", None, "EntityType"),
+        ],
+    )
+    def test_from_row_refuses_an_unknown_value(self, field, value, kind):
+        row = self._event().to_row()
+        row[field] = value
+        with pytest.raises(ValueError, match=f"{value!r} is not a valid {kind}"):
+            event_from_row(row)
+
+    def test_event_type_follows_the_object_type(self):
+        for entity_type in EntityType:
+            event = dataclasses.replace(self._event(), object_type=entity_type)
+            assert event.event_type is EventType(entity_type.value)
 
     def test_spanning_takes_the_window_and_amount_and_keeps_the_rest(self):
         first = self._event(start=100, end=200, amount=10, host="h1")

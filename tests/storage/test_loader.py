@@ -15,7 +15,7 @@ from repro.auditing.workload.attacks import (
 from repro.auditing.workload.base import ScenarioBuilder
 from repro.auditing.workload.benign import NoisyFileServerWorkload, WebServerWorkload
 from repro.auditing.workload.generator import HostSimulator
-from repro.errors import StorageError
+from repro.errors import SchemaError, StorageError
 from repro.scenarios import generate_campaigns
 from repro.storage.loader import AuditStore
 from repro.tbql.executor import TBQLExecutionEngine
@@ -290,6 +290,59 @@ class TestRepeatedEntityIds:
         [row] = store.relational.table("entities").lookup_equal("id", 1)
         assert row["exename"] == trace.entities[0].exename
         assert store.graph.node(1).properties["exename"] == trace.entities[0].exename
+
+
+class TestMistypedValues:
+    """Regression: an event the audit schema refuses (a float ``amount``)
+    after three good ones in one ``append_batch`` stored the three relational
+    rows and no graph edge without advancing ``generation``, and re-sending
+    event 1 then stored id 1 twice.  With reduction on, the three were stored
+    and ``flush()`` raised after the reducer had dropped the fourth.  The
+    batch is refused before the reducer or either backend is touched."""
+
+    @staticmethod
+    def _batch(trace: AuditTrace):
+        return trace.events[:3] + [dataclasses.replace(trace.events[3], amount=1.5)]
+
+    @pytest.mark.parametrize("apply_reduction", [False, True])
+    @pytest.mark.parametrize("storage", ["memory", "segments"])
+    def test_append_batch_refuses_the_whole_batch(self, apply_reduction, storage, tmp_path):
+        trace = _web_server_trace()
+        store = AuditStore(apply_reduction=apply_reduction, storage=storage, data_dir=tmp_path)
+        store.append_batch(trace.entities, [])
+        before = _state(store)
+        with pytest.raises(SchemaError, match="column 'amount' expects int, got float"):
+            store.append_batch([], self._batch(trace))
+        assert _state(store) == before
+        assert store.flush().stored_events == []
+        # Nothing of the refused batch was kept: the good events go in once.
+        store.append_batch([], trace.events)
+        store.flush()
+        ids = list(store.relational.table("events").column_array("id"))
+        assert len(ids) == len(set(ids)) == store.graph.edge_count()
+        if not apply_reduction:
+            assert ids == [event.event_id for event in trace.events]
+
+    @pytest.mark.parametrize("apply_reduction", [False, True])
+    def test_load_trace_keeps_what_the_store_held(self, apply_reduction):
+        trace = _web_server_trace()
+        store = AuditStore(apply_reduction=apply_reduction)
+        store.load_trace(trace)
+        before = _state(store)
+        mistyped = AuditTrace(
+            host=trace.host, entities=trace.entities, events=self._batch(trace)
+        )
+        with pytest.raises(SchemaError, match="expects int, got float"):
+            store.load_trace(mistyped)
+        assert _state(store) == before
+
+    def test_a_mistyped_entity_is_refused_too(self):
+        trace = _web_server_trace()
+        store = AuditStore()
+        bad = dataclasses.replace(trace.entities[0], pid="1")
+        with pytest.raises(SchemaError, match="column 'pid' expects int, got str"):
+            store.append_batch([bad, *trace.entities[1:]], trace.events)
+        assert _state(store) == (0, 0, 0, 0, 0, 0)
 
 
 def _campaign_trace() -> AuditTrace:

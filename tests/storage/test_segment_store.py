@@ -274,6 +274,26 @@ class TestRestartSurvival:
         result = reopened.relational.execute(_join_query())
         assert sorted(result.rows) == sorted(store.relational.execute(_join_query()).rows)
 
+    def test_entity_rebuild_keeps_the_first_row_of_an_id(self, tmp_path):
+        """The backend stores entity rows as given, so a sealed segment can
+        repeat an id stored by an earlier segment or within itself; reopening
+        keeps the first row of each id."""
+        database = SegmentedRelationalDatabase(tmp_path)
+        tar, upload = ProcessEntity(entity_id=1, exename="/bin/tar"), FileEntity(2, name="/tmp/u")
+        database.append_batch([tar, upload], [])
+        database.seal()
+        passwd = FileEntity(entity_id=3, name="/etc/passwd")
+        database.append_batch(
+            [ProcessEntity(entity_id=1, exename="/bin/other"), passwd, FileEntity(entity_id=3)],
+            [],
+        )
+        database.seal()
+        reopened = SegmentedRelationalDatabase(tmp_path)
+        rows = list(reopened.table("entities").scan())
+        assert [(row["id"], row["name"] or row["exename"]) for row in rows] == [
+            (1, "/bin/tar"), (2, "/tmp/u"), (3, "/etc/passwd")
+        ]
+
     def test_orphan_staging_dir_from_crashed_seal_is_cleaned(self, tmp_path):
         database = SegmentedRelationalDatabase(tmp_path, segment_rows=8)
         _append(database, _trace())

@@ -56,6 +56,68 @@ class TestSchemaValidation:
             table.create_hash_index("nonexistent")
 
 
+def _state(table: Table) -> tuple:
+    """Length, columns and what every index answers."""
+    return (
+        len(table),
+        {name: list(values) for name, values in table.column_store().items()},
+        {name: table.positions_equal("name", name) for name in ("/etc/passwd", "/new", "/bad")},
+        table.count_range("size"),
+        list(table.positions_range("size")),
+    )
+
+
+class TestBatchAppend:
+    def test_append_columns_extends_columns_and_indexes(self, table: Table):
+        assert table.append_columns({"id": [5, 6], "name": ["/new", "/etc/passwd"]}, 2) == 2
+        assert table.column_array("size")[-2:] == [None, None]
+        assert list(table.positions_equal("name", "/etc/passwd")) == [0, 3, 5]
+        assert table.count_range("size") == 4  # NULL sizes are not indexed
+
+    def test_an_out_of_order_batch_merges_into_the_sorted_index(self, table: Table):
+        table.append_columns({"id": [5, 6, 7], "size": [120, 5, 2000]}, 3)
+        # Counting bisects the index: it is only right if the index is sorted.
+        assert table.count_range("size", high=60) == 2
+        assert table.count_range("size", 100, 120) == 3
+        assert table.count_range("size", low=1000) == 1
+        assert [row["id"] for row in table.lookup_range("size", high=60)] == [2, 6]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([{"id": 5, "name": "/new", "size": 1}, {"id": 6, "name": "/bad", "size": "9"}],
+             "expects int, got str"),
+            ([{"id": 5, "name": "/new", "size": 1}, {"name": "/bad"}], "missing value"),
+            ([{"id": 5, "name": "/new", "size": 1}, {"id": 6, "mode": 7}], "unknown column"),
+        ],
+    )
+    def test_a_bad_last_row_writes_nothing(self, table: Table, rows, message):
+        """Regression: ``insert_many`` stored the rows before the bad one."""
+        before = _state(table)
+        with pytest.raises(SchemaError, match=message):
+            table.insert_many(rows)
+        assert _state(table) == before
+
+    def test_append_columns_validates_every_column_before_writing(self, table: Table):
+        before = _state(table)
+        with pytest.raises(SchemaError, match="column 'name' expects str, got int"):
+            table.append_columns({"id": [5, 6], "name": ["/new", 7], "size": [1, 2]}, 2)
+        with pytest.raises(SchemaError, match="holds 1 values for 2 rows"):
+            table.append_columns({"id": [5, 6], "name": ["/new"]}, 2)
+        with pytest.raises(SchemaError, match="missing value for column 'id'"):
+            table.append_columns({"id": [5, None]}, 2)
+        assert _state(table) == before
+
+    def test_an_int_column_accepts_bool(self, table: Table):
+        table.append_columns({"id": [True], "size": [False]}, 1)
+        assert table.row_at(4)["id"] is True
+
+    def test_validate_row_keeps_its_rules(self):
+        assert SCHEMA.validate_row({"id": 1}) == {"id": 1, "name": None, "size": None}
+        with pytest.raises(SchemaError, match="expects int, got float"):
+            SCHEMA.validate_row({"id": 1, "size": 1.5})
+
+
 class TestAccessPaths:
     def test_full_scan(self, table: Table):
         assert len(list(table.scan())) == 4

@@ -200,6 +200,35 @@ class TestOneIngestPathCheck:
         assert violations == []
 
 
+class TestOneWritePathCheck:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # The shapes of the five row-at-a-time writes this rule replaced.
+            "def f(t, es):\n    return t.insert_many(e.to_row() for e in es)\n",
+            "def f(t, rows, keep):\n    t.insert_many(r for r in rows if keep(r['id']))\n",
+            "def f(t, rows):\n    t.insert_many(rows)\n",
+            "def f(t, row):\n    return t.insert(row)\n",
+            "def f(t, row):\n    return t.insert(row=row)\n",
+        ],
+    )
+    def test_flags_a_row_at_a_time_table_write(self, invariants, source):
+        violations = _check(invariants, "check_one_write_path", source)
+        assert len(violations) == 1
+        assert "Table.append_columns" in violations[0].message
+
+    def test_allows_the_columnar_step_and_two_argument_inserts(self, invariants):
+        violations = _check(
+            invariants,
+            "check_one_write_path",
+            "def f(t, columns, n, xs, index):\n"
+            "    t.append_columns(columns, n)\n"
+            "    xs.insert(0, 'x')\n"
+            "    index.insert('value', 3)\n",
+        )
+        assert violations == []
+
+
 class TestImportBoundaryCheck:
     @pytest.mark.parametrize(
         "source",
